@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet lint test race bench bench-smoke recover-test rebalance-test wire-test wire-smoke obs-test
+.PHONY: check build vet lint test race bench bench-smoke recover-test rebalance-test wire-test wire-smoke obs-test e2e-smoke
 
 # The full verification gate: what CI (and every PR) must keep green.
 check: build vet lint race
@@ -42,14 +42,18 @@ rebalance-test:
 	$(GO) test -race -run 'ElasticClusterChaosAcceptance|V2SReplansAcrossMembershipChange' ./internal/core/
 
 # Wire-protocol gate: the binary frame codec (property tests plus the fuzz
-# seed corpora), the v1/v2 handshake-downgrade matrix, pipelining order and
-# concurrent-connection suites, the mid-COPY desync regression, and the
+# seed corpora), the columnar result path's equivalence with in-process
+# results, the v1/v2 handshake-downgrade matrix, pipelining order and
+# concurrent-connection suites, the mid-COPY desync regression, the
+# result-payload decoder's malformed-input regressions, and the
 # resource-pool admission suites — all under the race detector.
 wire-test:
-	$(GO) test -race -run 'Bin|WireCode|Handshake|Pipeline|ExecuteStream|PoolSentinels|MidCopy|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle' ./internal/server/
+	$(GO) test -race -run 'Bin|WireCode|Handshake|Pipeline|ExecuteStream|ColumnarResults|PoolSentinels|MidCopy|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle' ./internal/server/
+	$(GO) test -race -run 'Decode|FuzzSeeds' ./internal/storage/
 	$(GO) test -race -run xxx -fuzz FuzzBinRequestDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinDoneDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinErrorDecode -fuzztime 5s ./internal/server/
+	$(GO) test -race -run xxx -fuzz FuzzDecodeColumns -fuzztime 5s ./internal/storage/
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL' ./internal/vertica/
 
@@ -74,6 +78,18 @@ obs-test:
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race -run 'DC|QueryEvents|Metrics|Healthz|Counters|Profile|ChromeTrace' ./internal/vertica/
 	$(GO) run ./cmd/scanbench -rows 500000 -iters 5 -obs -gate -out BENCH_scan_obs.json
+
+# End-to-end smoke of the fabric round-trip benchmark: perfbench's own tests
+# (a module of its own, which the root `go test ./...` skips), then a
+# 2-second run of every workload through real TCP servers. Each run exits
+# non-zero on a wrong or failed job or a leaked session, transaction, temp
+# table or pool grant; that exit status is the whole gate. Timings at this
+# length are noise and are not checked.
+e2e-smoke:
+	cd perfbench && $(GO) test ./...
+	bash perfbench/run.sh --workload v2s-bulk --seconds 2 --trace 0
+	bash perfbench/run.sh --workload s2v-bulk --seconds 2 --trace 0
+	bash perfbench/run.sh --workload short-jobs --seconds 2 --trace 0
 
 # Microbenchmarks plus the throughput gates: BENCH_scan.json,
 # BENCH_agg.json, and BENCH_join.json record ns/op and rows/s for the

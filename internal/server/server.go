@@ -291,7 +291,7 @@ func (s *Server) serveV2(conn net.Conn) {
 				_ = s.sendBinError(conn, req.Tag, sessErr)
 				break
 			}
-			res, err := sess.ExecuteContext(s.reqCtx(conn, request{SQL: req.SQL, TraceID: req.TraceID, ParentID: req.ParentID, Peer: req.Peer}), req.SQL)
+			res, err := sess.ExecuteColumns(s.reqCtx(conn, request{SQL: req.SQL, TraceID: req.TraceID, ParentID: req.ParentID, Peer: req.Peer}), req.SQL)
 			if err != nil {
 				_ = s.sendBinError(conn, req.Tag, err)
 				break
@@ -434,68 +434,24 @@ func sendError(w io.Writer, e error) error {
 	return writeFrame(w, frameError, payload)
 }
 
-// coerceRows aligns row values with the declared result schema. Engine
-// results are permissive — an expression over a FLOAT column can yield
-// INTEGER-kinded values — but the columnar wire encoding is strict about
-// vector types. Rows are copied only when a value actually needs converting;
-// untouched rows alias the engine's (possibly shared) backing storage.
-func coerceRows(schema types.Schema, rows []types.Row) []types.Row {
-	out := rows
-	copied := false
-	for i, row := range rows {
-		rowCopied := false
-		for j, v := range row {
-			want := schema.Cols[j].T
-			if v.T == want || want == types.Unknown {
-				continue
-			}
-			if !copied {
-				out = append([]types.Row(nil), rows...)
-				copied = true
-			}
-			if !rowCopied {
-				out[i] = append(types.Row(nil), row...)
-				rowCopied = true
-			}
-			switch {
-			case v.Null:
-				out[i][j] = types.NullValue(want)
-			case want == types.Int64:
-				out[i][j] = types.IntValue(v.AsInt())
-			case want == types.Float64:
-				out[i][j] = types.FloatValue(v.AsFloat())
-			case want == types.Bool:
-				out[i][j] = types.BoolValue(v.AsBool())
-			default:
-				out[i][j] = types.StringValue(v.String())
-			}
-		}
-	}
-	return out
-}
-
 // sendBinResult streams one statement's outcome: zero or more columnar
-// batch frames (chunked so each stays well under the frame limit, and at
-// least one whenever the result carries a schema — zero-row schema probes
-// must arrive intact), then the done frame with the scalar outcome.
+// batch frames (see encodeBatches), then the done frame with the scalar
+// outcome. res must be in column form (Session.ExecuteColumns). A result
+// that fails to encode is reported as the statement's error.
 func (s *Server) sendBinResult(conn net.Conn, tag uint32, res *vertica.Result) error {
 	if res.Schema.NumCols() > 0 {
-		rows := coerceRows(res.Schema, res.Rows)
-		for first := true; first || len(rows) > 0; first = false {
-			chunk := rows
-			if len(chunk) > wireBatchRows {
-				chunk = chunk[:wireBatchRows]
-			}
-			rows = rows[len(chunk):]
-			enc, err := storage.EncodeRows(res.Schema, chunk)
-			if err != nil {
-				return s.sendBinError(conn, tag, err)
-			}
+		var werr error
+		err := encodeBatches(res.Schema, res.Batches, func(enc []byte) error {
 			payload := make([]byte, 4, 4+len(enc))
 			binary.BigEndian.PutUint32(payload, tag)
-			if err := writeFrame(conn, frameBatch, append(payload, enc...)); err != nil {
-				return err
-			}
+			werr = writeFrame(conn, frameBatch, append(payload, enc...))
+			return werr
+		})
+		if werr != nil {
+			return werr
+		}
+		if err != nil {
+			return s.sendBinError(conn, tag, err)
 		}
 	}
 	return writeFrame(conn, frameDone, encodeBinDone(binDone{
@@ -504,6 +460,58 @@ func (s *Server) sendBinResult(conn net.Conn, tag uint32, res *vertica.Result) e
 		Epoch:        res.Epoch,
 		Copy:         res.Copy,
 	}))
+}
+
+// encodeBatches gathers the selected rows of bs, column by column, into
+// storage.EncodeColumns payloads of at most wireBatchRows rows each and
+// hands them to emit: typed values are copied straight from the batch
+// columns into builders reused across payloads, so no row is ever boxed.
+// A schema with zero rows still emits one payload, so schema probes
+// ("SELECT ... LIMIT 0") arrive intact.
+func encodeBatches(schema types.Schema, bs []*storage.Batch, emit func([]byte) error) error {
+	builders := make([]*storage.Builder, schema.NumCols())
+	for j, c := range schema.Cols {
+		builders[j] = storage.NewBuilder(c.T)
+	}
+	cols := make([]storage.Column, len(builders))
+	n, emitted := 0, false
+	flush := func() error {
+		if n > 0 {
+			for j, b := range builders {
+				cols[j] = b.Build()
+			}
+		}
+		enc, err := storage.EncodeColumns(schema, cols, n)
+		if err != nil {
+			return err
+		}
+		for _, b := range builders {
+			b.Reset()
+		}
+		n, emitted = 0, true
+		return emit(enc)
+	}
+	for _, b := range bs {
+		for sel := b.Sel; len(sel) > 0; {
+			take := sel[:min(len(sel), wireBatchRows-n)]
+			for j, c := range b.Cols {
+				if err := builders[j].AppendSelected(c, take); err != nil {
+					return err
+				}
+			}
+			n += len(take)
+			sel = sel[len(take):]
+			if n == wireBatchRows {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if n > 0 || !emitted {
+		return flush()
+	}
+	return nil
 }
 
 func (s *Server) sendBinError(conn net.Conn, tag uint32, e error) error {

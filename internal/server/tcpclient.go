@@ -275,8 +275,8 @@ func (c *TCPConn) Execute(ctx context.Context, sql string) (*vertica.Result, err
 // batch by batch, without boxing rows: fn is called once per wire batch
 // with a decoded schema, columns, and row count. The returned Result
 // carries the scalar outcome (rows affected, epoch) and the schema, but
-// no rows. On a v1 connection the whole result is fetched and re-encoded
-// locally, so callers get identical behavior either way.
+// no rows. On a v1 connection the whole result is fetched and converted to
+// columns locally, so callers get identical behavior either way.
 func (c *TCPConn) ExecuteStream(ctx context.Context, sql string, fn func(schema types.Schema, cols []storage.Column, nrows int) error) (*vertica.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -290,15 +290,13 @@ func (c *TCPConn) ExecuteStream(ctx context.Context, sql string, fn func(schema 
 			return nil, err
 		}
 		if res.Schema.NumCols() > 0 {
-			enc, err := storage.EncodeRows(res.Schema, res.Rows)
-			if err != nil {
-				return nil, err
+			var cols []storage.Column
+			if len(res.Rows) > 0 {
+				if cols, err = storage.ColumnsFromRows(res.Rows, res.Schema); err != nil {
+					return nil, err
+				}
 			}
-			schema, cols, n, err := storage.DecodeColumns(enc)
-			if err != nil {
-				return nil, err
-			}
-			if err := fn(schema, cols, n); err != nil {
+			if err := fn(res.Schema, cols, len(res.Rows)); err != nil {
 				return nil, err
 			}
 		}

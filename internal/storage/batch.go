@@ -38,9 +38,9 @@ func (b *Batch) Row(i int, dst types.Row) types.Row {
 }
 
 // Materialize builds one types.Row per selected row, restricted to the
-// given column indexes (nil = all columns, in schema order). This is the
-// only place a vectorized scan boxes values, and it only runs for rows that
-// survived every kernel.
+// given column indexes (nil = all columns, in schema order). It boxes only
+// rows that survived every kernel, and only for the operators that need
+// rows; a single-table SELECT streamed over the wire never calls it.
 func (b *Batch) Materialize(colIdx []int) []types.Row {
 	if len(b.Sel) == 0 {
 		return nil

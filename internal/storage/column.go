@@ -253,10 +253,84 @@ func (b *Builder) Append(v types.Value) error {
 	return nil
 }
 
+// AppendSelected appends the rows of c at the indexes in sel, in order,
+// copying typed values without boxing them. c must hold the builder's type.
+func (b *Builder) AppendSelected(c Column, sel []int32) error {
+	if c.Type() != b.t {
+		return fmt.Errorf("storage: appending %v column to %v builder", c.Type(), b.t)
+	}
+	switch col := c.(type) {
+	case *Int64Column:
+		for _, i := range sel {
+			b.ints = append(b.ints, col.Vals[i])
+		}
+		b.appendNulls(col.Nulls, sel)
+	case *Float64Column:
+		for _, i := range sel {
+			b.floats = append(b.floats, col.Vals[i])
+		}
+		b.appendNulls(col.Nulls, sel)
+	case *StringColumn:
+		for _, i := range sel {
+			b.strs = append(b.strs, col.Vals[i])
+		}
+		b.appendNulls(col.Nulls, sel)
+	case *BoolColumn:
+		for _, i := range sel {
+			b.bools = append(b.bools, col.Vals[i])
+		}
+		b.appendNulls(col.Nulls, sel)
+	case *Int64RLEColumn:
+		// Selections are ascending, so the covering run only moves forward;
+		// RunOf re-seeks if an index ever goes backwards.
+		run := 0
+		for _, i := range sel {
+			if run > 0 && int(col.RunEnds[run-1]) > int(i) {
+				run = col.RunOf(int(i))
+			}
+			for int(col.RunEnds[run]) <= int(i) {
+				run++
+			}
+			b.ints = append(b.ints, col.RunVals[run])
+		}
+		b.appendNulls(nil, sel)
+	default:
+		for _, i := range sel {
+			if err := b.Append(c.Get(int(i))); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// appendNulls extends the null bitmap for the rows AppendSelected copied.
+func (b *Builder) appendNulls(nulls []bool, sel []int32) {
+	if nulls == nil {
+		b.nulls = append(b.nulls, make([]bool, len(sel))...)
+		return
+	}
+	for _, i := range sel {
+		b.nulls = append(b.nulls, nulls[i])
+		if nulls[i] {
+			b.anyNulls = true
+		}
+	}
+}
+
+// Reset empties the builder for reuse, keeping its buffers. The column the
+// previous Build returned shares those buffers, so it must no longer be in
+// use.
+func (b *Builder) Reset() {
+	b.ints, b.floats, b.strs, b.bools = b.ints[:0], b.floats[:0], b.strs[:0], b.bools[:0]
+	b.nulls, b.anyNulls = b.nulls[:0], false
+}
+
 // Len returns the number of values appended so far.
 func (b *Builder) Len() int { return len(b.nulls) }
 
-// Build returns the immutable column. The builder must not be reused.
+// Build returns the immutable column. The builder must not be appended to
+// again until Reset.
 func (b *Builder) Build() Column {
 	var nulls []bool
 	if b.anyNulls {

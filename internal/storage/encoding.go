@@ -93,6 +93,7 @@ func ChooseEncoding(c Column) Encoding {
 func EncodeColumn(c Column, enc Encoding) ([]byte, error) {
 	c = Densify(c) // the wire encoders type-switch on the dense column set
 	var buf bytes.Buffer
+	buf.Grow(encodedSize(c, enc))
 	buf.WriteByte(byte(c.Type()))
 	buf.WriteByte(byte(enc))
 	writeUvarint(&buf, uint64(c.Len()))
@@ -116,8 +117,68 @@ func EncodeColumn(c Column, enc Encoding) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// encodedSize bounds EncodeColumn's output, counting the null bitmap
+// whether or not the column needs one: exactly for plain and delta, by the
+// plain size for dict (chosen only when its codes are shorter). RLE, chosen
+// only for few-run columns, gets just the header. EncodeColumn reserves it
+// up front, so its buffer is allocated once rather than grown by doubling.
+func encodedSize(c Column, enc Encoding) int {
+	n := c.Len()
+	size := 2 + uvarintLen(uint64(n)) + 1 + (n+7)/8
+	if enc == EncRLE {
+		return size
+	}
+	switch col := c.(type) {
+	case *Int64Column:
+		if enc != EncDeltaVarint {
+			return size + 8*n
+		}
+		prev := int64(0)
+		for _, v := range col.Vals {
+			size += varintLen(v - prev)
+			prev = v
+		}
+		return size
+	case *Float64Column:
+		return size + 8*n
+	case *StringColumn:
+		for _, v := range col.Vals {
+			size += uvarintLen(uint64(len(v))) + len(v)
+		}
+		return size
+	default:
+		return size + n
+	}
+}
+
+// uvarintLen is the length of binary.PutUvarint's encoding of v.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// varintLen is the length of binary.PutVarint's encoding of v.
+func varintLen(v int64) int {
+	return uvarintLen(uint64(v<<1) ^ uint64(v>>63))
+}
+
+// maxDecodeRows bounds every row count a decoder accepts: batches address
+// rows through int32 selection vectors, so no container, batch or payload
+// can hold more.
+const maxDecodeRows = math.MaxInt32
+
 // DecodeColumn deserializes a column produced by EncodeColumn.
 func DecodeColumn(data []byte) (Column, error) {
+	return decodeColumn(data, -1)
+}
+
+// decodeColumn is DecodeColumn for a column whose row count the caller
+// already knows (want >= 0): a chunk claiming any other count is rejected
+// before anything is allocated for it.
+func decodeColumn(data []byte, want int) (Column, error) {
 	r := bytes.NewReader(data)
 	tb, err := r.ReadByte()
 	if err != nil {
@@ -131,6 +192,14 @@ func DecodeColumn(data []byte) (Column, error) {
 	n64, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, fmt.Errorf("storage: bad row count: %w", err)
+	}
+	if want >= 0 && n64 != uint64(want) {
+		return nil, fmt.Errorf("storage: column has %d rows, want %d", n64, want)
+	}
+	// Every encoding but RLE spends at least minRowBytes per row; RLE
+	// appends run by run instead of allocating the claimed count up front.
+	if n64 > maxDecodeRows || n64*uint64(minRowBytes(t, enc)) > uint64(r.Len()) {
+		return nil, fmt.Errorf("storage: %d-row %v column in %d bytes", n64, enc, r.Len())
 	}
 	n := int(n64)
 	nulls, err := readNulls(r, n)
@@ -149,6 +218,36 @@ func DecodeColumn(data []byte) (Column, error) {
 	default:
 		return nil, fmt.Errorf("storage: unknown encoding %d", enc)
 	}
+}
+
+// minRowBytes is the fewest payload bytes one row of a t column occupies
+// under enc (0 when runs can cover any number of rows).
+func minRowBytes(t types.Type, enc Encoding) int {
+	switch {
+	case enc == EncRLE:
+		return 0
+	case enc == EncPlain && (t == types.Int64 || t == types.Float64):
+		return 8
+	default:
+		return 1
+	}
+}
+
+// readBytes reads a uvarint length prefix and that many bytes, rejecting a
+// length longer than what is left of the input.
+func readBytes(r *bytes.Reader) ([]byte, error) {
+	ln, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, err
+	}
+	if ln > uint64(r.Len()) {
+		return nil, fmt.Errorf("storage: length prefix %d exceeds the %d bytes left", ln, r.Len())
+	}
+	b := make([]byte, ln)
+	if _, err := readFull(r, b); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {
@@ -194,6 +293,9 @@ func readNulls(r *bytes.Reader, n int) ([]bool, error) {
 	if marker == 0 {
 		return nil, nil
 	}
+	if (n+7)/8 > r.Len() {
+		return nil, fmt.Errorf("storage: %d-row null bitmap in %d bytes", n, r.Len())
+	}
 	bitmap := make([]byte, (n+7)/8)
 	if _, err := readFull(r, bitmap); err != nil {
 		return nil, fmt.Errorf("storage: short null bitmap: %w", err)
@@ -219,18 +321,19 @@ func readFull(r *bytes.Reader, p []byte) (int, error) {
 
 func encodePlain(buf *bytes.Buffer, c Column) error {
 	n := c.Len()
-	var tmp [8]byte
 	switch col := c.(type) {
 	case *Int64Column:
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(tmp[:], uint64(col.Vals[i]))
-			buf.Write(tmp[:])
+		b := buf.AvailableBuffer()
+		for _, v := range col.Vals {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
 		}
+		buf.Write(b)
 	case *Float64Column:
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(col.Vals[i]))
-			buf.Write(tmp[:])
+		b := buf.AvailableBuffer()
+		for _, v := range col.Vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
+		buf.Write(b)
 	case *StringColumn:
 		for i := 0; i < n; i++ {
 			writeUvarint(buf, uint64(len(col.Vals[i])))
@@ -274,12 +377,8 @@ func decodePlain(r *bytes.Reader, t types.Type, n int, nulls []bool) (Column, er
 	case types.Varchar:
 		vals := make([]string, n)
 		for i := range vals {
-			ln, err := binary.ReadUvarint(r)
+			b, err := readBytes(r)
 			if err != nil {
-				return nil, err
-			}
-			b := make([]byte, ln)
-			if _, err := readFull(r, b); err != nil {
 				return nil, err
 			}
 			vals[i] = string(b)
@@ -361,7 +460,7 @@ func decodeRLE(r *bytes.Reader, t types.Type, n int, nulls []bool) (Column, erro
 		if err != nil {
 			return nil, err
 		}
-		if run == 0 || read+int(run) > n {
+		if run == 0 || run > uint64(n-read) {
 			return nil, fmt.Errorf("storage: bad RLE run length %d at row %d/%d", run, read, n)
 		}
 		switch t {
@@ -383,12 +482,8 @@ func decodeRLE(r *bytes.Reader, t types.Type, n int, nulls []bool) (Column, erro
 				floatVals = append(floatVals, v)
 			}
 		case types.Varchar:
-			ln, err := binary.ReadUvarint(r)
+			b, err := readBytes(r)
 			if err != nil {
-				return nil, err
-			}
-			b := make([]byte, ln)
-			if _, err := readFull(r, b); err != nil {
 				return nil, err
 			}
 			for k := 0; k < int(run); k++ {
@@ -481,14 +576,14 @@ func decodeDict(r *bytes.Reader, t types.Type, n int, nulls []bool) (Column, err
 	if err != nil {
 		return nil, err
 	}
+	// Each dictionary entry takes at least its one-byte length prefix.
+	if dn > uint64(r.Len()) {
+		return nil, fmt.Errorf("storage: %d dictionary entries in %d bytes", dn, r.Len())
+	}
 	dict := make([]string, dn)
 	for i := range dict {
-		ln, err := binary.ReadUvarint(r)
+		b, err := readBytes(r)
 		if err != nil {
-			return nil, err
-		}
-		b := make([]byte, ln)
-		if _, err := readFull(r, b); err != nil {
 			return nil, err
 		}
 		dict[i] = string(b)

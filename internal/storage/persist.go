@@ -64,12 +64,8 @@ func readStatValue(r *bytes.Reader) (types.Value, error) {
 		}
 		return types.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(tmp[:]))), nil
 	case types.Varchar:
-		ln, err := binary.ReadUvarint(r)
+		s, err := readBytes(r)
 		if err != nil {
-			return types.Value{}, err
-		}
-		s := make([]byte, ln)
-		if _, err := readFull(r, s); err != nil {
 			return types.Value{}, err
 		}
 		return types.StringValue(string(s)), nil
@@ -99,13 +95,13 @@ func readSchema(r *bytes.Reader) (types.Schema, error) {
 	if err != nil {
 		return schema, fmt.Errorf("storage: bad schema header: %w", err)
 	}
+	// Every column takes at least two bytes: its name length and its type.
+	if n > uint64(r.Len()/2) {
+		return schema, fmt.Errorf("storage: schema claims %d columns in %d bytes", n, r.Len())
+	}
 	for i := uint64(0); i < n; i++ {
-		ln, err := binary.ReadUvarint(r)
+		name, err := readBytes(r)
 		if err != nil {
-			return schema, err
-		}
-		name := make([]byte, ln)
-		if _, err := readFull(r, name); err != nil {
 			return schema, err
 		}
 		tb, err := r.ReadByte()
@@ -118,11 +114,18 @@ func readSchema(r *bytes.Reader) (types.Schema, error) {
 }
 
 func writeColumns(buf *bytes.Buffer, cols []Column) error {
-	for _, c := range cols {
+	chunks := make([][]byte, len(cols))
+	size := 0
+	for i, c := range cols {
 		chunk, err := EncodeColumn(c, ChooseEncoding(c))
 		if err != nil {
 			return err
 		}
+		chunks[i] = chunk
+		size += uvarintLen(uint64(len(chunk))) + len(chunk)
+	}
+	buf.Grow(size)
+	for _, chunk := range chunks {
 		writeUvarint(buf, uint64(len(chunk)))
 		buf.Write(chunk)
 	}
@@ -132,15 +135,11 @@ func writeColumns(buf *bytes.Buffer, cols []Column) error {
 func readColumns(r *bytes.Reader, ncols, nrows int) ([]Column, error) {
 	cols := make([]Column, ncols)
 	for i := range cols {
-		sz, err := binary.ReadUvarint(r)
+		chunk, err := readBytes(r)
 		if err != nil {
 			return nil, err
 		}
-		chunk := make([]byte, sz)
-		if _, err := readFull(r, chunk); err != nil {
-			return nil, err
-		}
-		col, err := DecodeColumn(chunk)
+		col, err := decodeColumn(chunk, nrows)
 		if err != nil {
 			return nil, err
 		}
@@ -199,13 +198,21 @@ func DecodeColumns(data []byte) (types.Schema, []Column, int, error) {
 	if err != nil {
 		return schema, nil, 0, err
 	}
-	n := int(n64)
-	if n == 0 {
+	if n64 == 0 {
 		return schema, nil, 0, nil
 	}
+	if n64 > maxDecodeRows || schema.NumCols() == 0 {
+		return schema, nil, 0, fmt.Errorf("storage: %d rows over %d columns", n64, schema.NumCols())
+	}
+	n := int(n64)
 	cols, err := readColumns(r, schema.NumCols(), n)
 	if err != nil {
 		return schema, nil, 0, err
+	}
+	for i, c := range cols {
+		if c.Type() != schema.Cols[i].T {
+			return schema, nil, 0, fmt.Errorf("storage: column %d holds %v values, schema says %v", i, c.Type(), schema.Cols[i].T)
+		}
 	}
 	return schema, cols, n, nil
 }
@@ -341,6 +348,9 @@ func UnmarshalContainer(data []byte) (*ROSContainer, error) {
 	if err != nil {
 		return nil, err
 	}
+	if n64 > maxDecodeRows {
+		return nil, fmt.Errorf("storage: ROS container claims %d rows", n64)
+	}
 	n := int(n64)
 	schema, err := readSchema(r)
 	if err != nil {
@@ -472,6 +482,9 @@ func (s *Store) LoadWOS(data []byte) error {
 	n64, err := binary.ReadUvarint(r)
 	if err != nil {
 		return err
+	}
+	if n64 > maxDecodeRows {
+		return fmt.Errorf("storage: WOS snapshot claims %d rows", n64)
 	}
 	n := int(n64)
 	schema, err := readSchema(r)

@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,34 @@ func TestEncodingsRoundTrip(t *testing.T) {
 	bools := col(t, types.Bool, types.BoolValue(true), types.BoolValue(true), types.BoolValue(false))
 	for _, e := range []Encoding{EncPlain, EncRLE} {
 		roundTrip(t, bools, e)
+	}
+}
+
+// TestEncodedSizeMatchesOutput pins the buffer presizing: for plain and
+// delta output the size EncodeColumn reserves is never short, so the buffer
+// never regrows, and it overshoots by at most a null bitmap the column
+// turned out not to need.
+func TestEncodedSizeMatchesOutput(t *testing.T) {
+	cols := []struct {
+		c    Column
+		encs []Encoding
+	}{
+		{col(t, types.Int64, types.IntValue(1), types.IntValue(300), types.IntValue(-70000), types.NullValue(types.Int64), types.IntValue(math.MinInt64)), []Encoding{EncPlain, EncDeltaVarint}},
+		{col(t, types.Float64, types.FloatValue(1.5), types.NullValue(types.Float64)), []Encoding{EncPlain}},
+		{col(t, types.Varchar, types.StringValue(""), types.StringValue(strings.Repeat("x", 200)), types.NullValue(types.Varchar)), []Encoding{EncPlain}},
+		{col(t, types.Bool, types.BoolValue(true), types.BoolValue(false)), []Encoding{EncPlain}},
+		{col(t, types.Int64), []Encoding{EncPlain, EncDeltaVarint}},
+	}
+	for _, tc := range cols {
+		for _, e := range tc.encs {
+			data, err := EncodeColumn(tc.c, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := encodedSize(tc.c, e); got < len(data) || got > len(data)+(tc.c.Len()+7)/8 {
+				t.Errorf("%T %v: encodedSize %d, output %d bytes", tc.c, e, got, len(data))
+			}
+		}
 	}
 }
 

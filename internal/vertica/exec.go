@@ -79,18 +79,17 @@ func (s *Session) executeSelectProf(st *vsql.Select, qp *queryProfile) (*Result,
 	if res, ok, err := s.tryCountPushdown(st, vis, stats); err != nil {
 		return nil, err
 	} else if ok {
-		s.recordQuery(res.Rows, stats)
-		s.recordPlan(stats, len(res.Rows), vis.Epoch)
-		res.Epoch = vis.Epoch
-		return res, nil
+		return s.finishSelect(res, stats, vis.Epoch), nil
 	}
 	if res, ok, err := s.tryVectorizedAgg(st, vis, stats, qp); err != nil {
 		return nil, err
 	} else if ok {
-		s.recordQuery(res.Rows, stats)
-		s.recordPlan(stats, len(res.Rows), vis.Epoch)
-		res.Epoch = vis.Epoch
-		return res, nil
+		return s.finishSelect(res, stats, vis.Epoch), nil
+	}
+	if res, ok, err := s.tryColumnSelect(st, vis, stats, qp); err != nil {
+		return nil, err
+	} else if ok {
+		return s.finishSelect(res, stats, vis.Epoch), nil
 	}
 	if hasAggregates(st) || len(st.GroupBy) > 0 {
 		// The vectorized hash-aggregation pushdown declined: this aggregate
@@ -115,21 +114,109 @@ func (s *Session) executeSelectProf(st *vsql.Select, qp *queryProfile) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	if qp != nil {
-		qp.add(opStat{
-			name: "project", rowsIn: int64(len(rows)), rowsOut: int64(len(out)),
-			dur: time.Since(projStart), detail: projectDetail(st),
-		})
-		if st.Limit >= 0 {
-			qp.add(opStat{
-				name: "limit", rowsIn: int64(len(out)), rowsOut: int64(len(out)),
-				detail: fmt.Sprintf("LIMIT %d", st.Limit),
-			})
-		}
+	profileProject(qp, st, len(rows), len(out), projStart)
+	return s.finishSelect(&Result{Schema: outSchema, Rows: out}, stats, vis.Epoch), nil
+}
+
+// finishSelect records a completed SELECT's accounting and stamps its
+// snapshot epoch.
+func (s *Session) finishSelect(res *Result, stats *scanStats, epoch uint64) *Result {
+	s.recordQuery(res, stats)
+	s.recordPlan(stats, res.NumRows(), epoch)
+	res.Epoch = epoch
+	return res
+}
+
+// profileProject adds the project (and LIMIT) operator rows to a PROFILE.
+func profileProject(qp *queryProfile, st *vsql.Select, rowsIn, rowsOut int, start time.Time) {
+	if qp == nil {
+		return
 	}
-	s.recordQuery(out, stats)
-	s.recordPlan(stats, len(out), vis.Epoch)
-	return &Result{Schema: outSchema, Rows: out, Epoch: vis.Epoch}, nil
+	qp.add(opStat{
+		name: "project", rowsIn: int64(rowsIn), rowsOut: int64(rowsOut),
+		dur: time.Since(start), detail: projectDetail(st),
+	})
+	if st.Limit >= 0 {
+		qp.add(opStat{
+			name: "limit", rowsIn: int64(rowsOut), rowsOut: int64(rowsOut),
+			detail: fmt.Sprintf("LIMIT %d", st.Limit),
+		})
+	}
+}
+
+// tryColumnSelect answers a single-table SELECT whose select list only picks
+// columns (star, plain columns, aliases) straight from the scan's batches:
+// the result is the filtered batches with their columns picked as the list
+// says (reordered, duplicated, renamed), LIMIT already applied to the
+// selection vectors. No value is boxed here; the in-process API materializes
+// rows at return and the wire server streams the columns as they are. Joins,
+// aggregates, ORDER BY, computed items, views and system tables decline to
+// the row path.
+func (s *Session) tryColumnSelect(st *vsql.Select, vis storage.Visibility, stats *scanStats, qp *queryProfile) (*Result, bool, error) {
+	if s.cluster.cfg.RowAtATimeScans || st.From == nil || len(st.Joins) > 0 || len(st.GroupBy) > 0 ||
+		len(st.OrderBy) > 0 || hasAggregates(st) || !baseTableOnly(s, st.From) {
+		return nil, false, nil
+	}
+	tbl, ok := s.cluster.cat.Table(st.From.Name)
+	if !ok {
+		return nil, false, nil // let the general path report the error
+	}
+	opts := scanOpts{needCols: neededColumns(st), limit: st.Limit}
+	_, scanSchema := resolveNeedCols(tbl.Def.Schema, opts.needCols)
+	pick, outSchema, ok := columnPick(st.Items, scanSchema)
+	if !ok {
+		return nil, false, nil
+	}
+	batches, _, _, err := s.scanTable(tbl, st.Where, vis, stats, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	projStart := profClock(qp)
+	out := make([]*storage.Batch, len(batches))
+	for i, b := range batches {
+		cols := make([]storage.Column, len(pick))
+		for j, ci := range pick {
+			cols[j] = b.Cols[ci]
+		}
+		out[i] = &storage.Batch{Schema: outSchema, Cols: cols, Sel: b.Sel}
+	}
+	res := &Result{Schema: outSchema, Batches: out}
+	n := res.NumRows()
+	profileProject(qp, st, n, n, projStart)
+	return res, true, nil
+}
+
+// columnPick maps a select list of star, plain-column and aliased-column
+// items onto schema indexes, with the output names and types projectScalar
+// gives them. Any other item, or a name the schema cannot resolve, returns
+// false: the row path evaluates (or reports) it.
+func columnPick(items []vsql.SelectItem, schema types.Schema) ([]int, types.Schema, bool) {
+	var pick []int
+	var out types.Schema
+	for _, it := range items {
+		if it.Star {
+			for i, c := range schema.Cols {
+				pick = append(pick, i)
+				out.Cols = append(out.Cols, c)
+			}
+			continue
+		}
+		col, isCol := it.Expr.(*expr.Col)
+		if !isCol {
+			return nil, types.Schema{}, false
+		}
+		i := schema.ColIndex(col.Name)
+		if i < 0 {
+			return nil, types.Schema{}, false
+		}
+		name := it.Alias
+		if name == "" {
+			name = col.Name
+		}
+		pick = append(pick, i)
+		out.Cols = append(out.Cols, types.Column{Name: name, T: schema.Cols[i].T})
+	}
+	return pick, out, true
 }
 
 // profClock reads the clock only when profiling, keeping the common path
@@ -428,15 +515,16 @@ func hasAggregates(st *vsql.Select) bool {
 
 // scanOpts carries the scan-level pushdowns of one relation scan.
 type scanOpts struct {
-	// needCols restricts materialization to the named columns (late
-	// materialization); nil materializes every column. Ignored for views and
-	// system tables, whose rows exist in row form already.
+	// needCols narrows the scanned batches (and so whatever is later
+	// materialized from them) to the named columns; nil keeps every column.
+	// Ignored for views and system tables, whose rows exist in row form
+	// already.
 	needCols []string
 	// limit stops the scan once this many rows have been produced; -1 = no
 	// limit. Callers only set it when scan rows map 1:1 to output rows.
 	limit int64
-	// countOnly skips materialization entirely: the scan returns only the
-	// visible-and-matching row count from selection-vector popcounts.
+	// countOnly returns no batches, only the visible-and-matching row count
+	// from selection-vector popcounts.
 	countOnly bool
 	// profile turns on kernel-vs-residual work accounting in segment scans
 	// (the PROFILE path).
@@ -481,8 +569,14 @@ func (s *Session) relationRows(tr *vsql.TableRef, where expr.Expr, vis storage.V
 	if !ok {
 		return nil, types.Schema{}, fmt.Errorf("vertica: relation %q does not exist", tr.Name)
 	}
-	rows, _, schema, err := s.scanTable(tbl, where, vis, stats, opts)
-	return rows, schema, err
+	if s.cluster.cfg.RowAtATimeScans {
+		return s.profiledRowAtATimeScan(tbl, where, vis, stats)
+	}
+	batches, _, schema, err := s.scanTable(tbl, where, vis, stats, opts)
+	if err != nil {
+		return nil, types.Schema{}, err
+	}
+	return materialize(batches), schema, nil
 }
 
 // filterRows applies a residual predicate to materialized rows, stopping at
@@ -553,7 +647,7 @@ type segJob struct {
 
 // segResult is the outcome of scanning one segment.
 type segResult struct {
-	rows        []types.Row
+	batches     []*storage.Batch
 	count       int64
 	scanRows    float64
 	shuffleB    float64           // bytes gathered to the coordinator (0 when local)
@@ -619,32 +713,40 @@ func (s *Session) pruneFunc(pred *vexec.Pred, res *segResult) func([]storage.Col
 	}
 }
 
-// scanTable scans a base table under the read context on the vectorized
-// batch pipeline: hash-range conjuncts prune segments, the residual
-// predicate is compiled to typed column kernels (vexec), segments fan out
-// over a bounded worker pool, and only surviving rows × needed columns are
-// materialized. With countOnly the scan completes from selection-vector
-// popcounts and materializes nothing. Results are deterministic: segments
-// are merged in segment order, matching the sequential reference scan.
-func (s *Session) scanTable(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats, opts scanOpts) ([]types.Row, int64, types.Schema, error) {
+// profiledRowAtATimeScan runs the retained reference scan the
+// RowAtATimeScans ablation knob selects, adding its PROFILE row.
+func (s *Session) profiledRowAtATimeScan(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats) ([]types.Row, types.Schema, error) {
 	if stats.table == "" {
 		stats.table = tbl.Def.Name
 	}
-	if s.cluster.cfg.RowAtATimeScans {
-		// Ablation/debug knob: run the retained reference implementation.
-		scanStart := profClock(stats.prof)
-		rows, schema, err := s.scanTableRowAtATime(tbl, where, vis, stats)
-		if stats.prof != nil && err == nil {
-			total := int64(0)
-			for _, n := range stats.scanRows {
-				total += int64(n)
-			}
-			stats.prof.add(opStat{
-				name: "scan " + tbl.Def.Name, rowsIn: total, rowsOut: int64(len(rows)),
-				resRows: total, dur: time.Since(scanStart), detail: "row-at-a-time reference",
-			})
+	scanStart := profClock(stats.prof)
+	rows, schema, err := s.scanTableRowAtATime(tbl, where, vis, stats)
+	if stats.prof != nil && err == nil {
+		total := int64(0)
+		for _, n := range stats.scanRows {
+			total += int64(n)
 		}
-		return rows, int64(len(rows)), schema, err
+		stats.prof.add(opStat{
+			name: "scan " + tbl.Def.Name, rowsIn: total, rowsOut: int64(len(rows)),
+			resRows: total, dur: time.Since(scanStart), detail: "row-at-a-time reference",
+		})
+	}
+	return rows, schema, err
+}
+
+// scanTable scans a base table under the read context on the vectorized
+// batch pipeline: hash-range conjuncts prune segments, the residual
+// predicate is compiled to typed column kernels (vexec), and segments fan
+// out over a bounded worker pool. It hands back the filtered batches (the
+// containers' shared immutable columns, narrowed to the needed columns, plus
+// selection vectors) without boxing a value, with the returned schema
+// describing their columns. With countOnly the scan completes from
+// selection-vector popcounts and returns no batches. Results are
+// deterministic: segments are merged in segment order, matching the
+// sequential reference scan.
+func (s *Session) scanTable(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats, opts scanOpts) ([]*storage.Batch, int64, types.Schema, error) {
+	if stats.table == "" {
+		stats.table = tbl.Def.Name
 	}
 	stats.vectorized = true
 	scanStart := profClock(stats.prof)
@@ -663,12 +765,12 @@ func (s *Session) scanTable(tbl *catalog.Table, where expr.Expr, vis storage.Vis
 
 	results := make([]segResult, len(jobs))
 	runSegJobs(len(jobs), func(i int) {
-		results[i] = s.scanSegment(jobs[i], vis, hr, pred, needIdx, opts)
+		results[i] = s.scanSegment(jobs[i], vis, hr, pred, needIdx, outSchema, opts)
 	})
 
 	// Deterministic merge in segment order; per-segment stats fold into the
 	// query's accounting on the coordinating goroutine only.
-	var out []types.Row
+	var out []*storage.Batch
 	var count int64
 	var fstats vexec.FilterStats
 	var scanned, contSeen, contNoStats int64
@@ -689,14 +791,17 @@ func (s *Session) scanTable(tbl *catalog.Table, where expr.Expr, vis storage.Vis
 		stats.contNoStats += res.contNoStats
 		contSeen += res.contSeen
 		contNoStats += res.contNoStats
-		out = append(out, res.rows...)
+		out = append(out, res.batches...)
 	}
 	s.raiseZoneMapSkipped(tbl.Def.Name, pred.HasZoneChecks(), contNoStats, contSeen)
-	if opts.limit >= 0 && int64(len(out)) > opts.limit {
-		out = out[:opts.limit]
+	if opts.limit >= 0 {
+		out = limitBatches(out, opts.limit)
 	}
 	if stats.prof != nil {
-		rowsOut := int64(len(out))
+		rowsOut := int64(0)
+		for _, b := range out {
+			rowsOut += int64(b.Len())
+		}
 		if opts.countOnly {
 			rowsOut = count
 		}
@@ -717,6 +822,28 @@ func (s *Session) scanTable(tbl *catalog.Table, where expr.Expr, vis storage.Vis
 		})
 	}
 	return out, count, outSchema, nil
+}
+
+// materialize boxes the selected rows of bs into one types.Row each, batch
+// by batch in selection order. It is the one place a scan's output turns
+// into rows, for the operators that need them (joins, row-path aggregation,
+// ORDER BY, computed select items, views, INSERT..SELECT) and for the
+// in-process result API. Batches box in parallel over the segment-scan
+// worker pool, each into its own slots of the presized result. Zero
+// selected rows return nil.
+func materialize(bs []*storage.Batch) []types.Row {
+	offs := make([]int, len(bs)+1)
+	for i, b := range bs {
+		offs[i+1] = offs[i] + b.Len()
+	}
+	if offs[len(bs)] == 0 {
+		return nil
+	}
+	out := make([]types.Row, offs[len(bs)])
+	runSegJobs(len(bs), func(i int) {
+		copy(out[offs[i]:offs[i+1]], bs[i].Materialize(nil))
+	})
+	return out
 }
 
 // runSegJobs runs fn(0..n-1) over the bounded segment-scan worker pool.
@@ -745,10 +872,27 @@ func runSegJobs(n int, fn func(int)) {
 	}
 }
 
+// limitBatches keeps the first limit selected rows of bs, trimming the
+// selection vector of the batch the limit falls in.
+func limitBatches(bs []*storage.Batch, limit int64) []*storage.Batch {
+	for i, b := range bs {
+		if int64(b.Len()) >= limit {
+			b.Sel = b.Sel[:limit]
+			if limit == 0 {
+				return bs[:i]
+			}
+			return bs[:i+1]
+		}
+		limit -= int64(b.Len())
+	}
+	return bs
+}
+
 // scanSegment runs one segment's batched scan: visibility + hash mask come
 // pre-applied in each batch's selection vector, kernels narrow it, and the
-// survivors are materialized (late) or just counted.
-func (s *Session) scanSegment(job segJob, vis storage.Visibility, hr vhash.Range, pred *vexec.Pred, needIdx []int, opts scanOpts) segResult {
+// survivors are kept as batches narrowed to the needed columns (schema
+// describes them) or just counted.
+func (s *Session) scanSegment(job segJob, vis storage.Visibility, hr vhash.Range, pred *vexec.Pred, needIdx []int, schema types.Schema, opts scanOpts) segResult {
 	res := segResult{scanRows: float64(job.store.TotalRows())}
 	local := job.homeNode == s.node.ID
 	var fs *vexec.FilterStats
@@ -764,22 +908,28 @@ func (s *Session) scanSegment(job segJob, vis storage.Visibility, hr vhash.Range
 			res.count += int64(b.Len())
 			return true
 		}
-		rows := b.Materialize(needIdx)
 		if opts.limit >= 0 {
-			if remain := opts.limit - int64(len(res.rows)); int64(len(rows)) > remain {
-				rows = rows[:remain]
+			if remain := opts.limit - res.count; int64(b.Len()) > remain {
+				b.Sel = b.Sel[:remain]
 			}
 		}
-		res.rows = append(res.rows, rows...)
-		res.count += int64(len(rows))
-		if !local {
-			for _, r := range rows {
-				res.shuffleB += float64(types.WireSize(r))
+		if b.Len() > 0 {
+			if needIdx != nil {
+				cols := make([]storage.Column, len(needIdx))
+				for j, ci := range needIdx {
+					cols[j] = b.Cols[ci]
+				}
+				b = &storage.Batch{Schema: schema, Cols: cols, Hashes: b.Hashes, Sel: b.Sel}
+			}
+			res.batches = append(res.batches, b)
+			res.count += int64(b.Len())
+			if !local {
+				res.shuffleB += float64(batchWireSize(b))
 			}
 		}
 		// Stop this segment once it alone can satisfy the LIMIT; the merge
 		// keeps segment order, so the first rows win deterministically.
-		return !(opts.limit >= 0 && int64(len(res.rows)) >= opts.limit)
+		return !(opts.limit >= 0 && res.count >= opts.limit)
 	})
 	if err != nil && res.err == nil {
 		res.err = err
@@ -789,7 +939,7 @@ func (s *Session) scanSegment(job segJob, vis storage.Visibility, hr vhash.Range
 
 // resolveNeedCols maps the needed column names onto schema indexes, in
 // schema order, and builds the narrowed output schema. Unresolvable names
-// (or a nil request) fall back to materializing every column.
+// (or a nil request) fall back to every column.
 func resolveNeedCols(schema types.Schema, needCols []string) ([]int, types.Schema) {
 	if needCols == nil {
 		return nil, schema
@@ -1284,20 +1434,23 @@ func qualify(tr *vsql.TableRef, col string) string {
 }
 
 // recordQuery emits the QueryFlowEv for a completed SELECT.
-func (s *Session) recordQuery(rows []types.Row, stats *scanStats) {
+func (s *Session) recordQuery(res *Result, stats *scanStats) {
 	if s.obsv == nil {
 		return
 	}
-	bytes := 0.0
-	for _, r := range rows {
-		bytes += float64(textWireSize(r))
+	bytes := 0
+	for _, b := range res.Batches {
+		bytes += batchTextWireSize(b)
+	}
+	for _, r := range res.Rows {
+		bytes += textWireSize(r)
 	}
 	s.record(sim.Event{
 		Type:        sim.QueryFlowEv,
 		VNode:       s.node.Name,
 		CNode:       s.peer,
-		ResultBytes: bytes,
-		ResultRows:  float64(len(rows)),
+		ResultBytes: float64(bytes),
+		ResultRows:  float64(res.NumRows()),
 		ScanRows:    stats.scanRows,
 		Shuffle:     stats.shuffle,
 	})
@@ -1319,6 +1472,97 @@ func textWireSize(r types.Row) int {
 			continue
 		}
 		n += len(v.String())
+	}
+	return n
+}
+
+// batchTextWireSize is textWireSize summed over a batch's selected rows,
+// computed per column without formatting a value: every value (NULL
+// included) costs its 4-byte length word, and a non-NULL integer adds its
+// decimal digits and sign, a string its length, a bool "true" or "false",
+// a FLOAT the fixed 19.
+func batchTextWireSize(b *storage.Batch) int {
+	n := 4 * len(b.Sel) * len(b.Cols)
+	for _, c := range b.Cols {
+		switch col := c.(type) {
+		case *storage.Int64Column:
+			for _, i := range b.Sel {
+				if !isNull(col.Nulls, i) {
+					n += decimalLen(col.Vals[i])
+				}
+			}
+		case *storage.Float64Column:
+			for _, i := range b.Sel {
+				if !isNull(col.Nulls, i) {
+					n += 19
+				}
+			}
+		case *storage.StringColumn:
+			for _, i := range b.Sel {
+				if !isNull(col.Nulls, i) {
+					n += len(col.Vals[i])
+				}
+			}
+		case *storage.BoolColumn:
+			for _, i := range b.Sel {
+				if isNull(col.Nulls, i) {
+					continue
+				}
+				n += 5 // "false"
+				if col.Vals[i] {
+					n-- // "true"
+				}
+			}
+		default:
+			for _, i := range b.Sel {
+				switch v := c.Get(int(i)); {
+				case v.Null:
+				case v.T == types.Int64:
+					n += decimalLen(v.I)
+				case v.T == types.Float64:
+					n += 19
+				default:
+					n += len(v.String())
+				}
+			}
+		}
+	}
+	return n
+}
+
+// isNull reads a column's null bitmap (nil means no NULLs).
+func isNull(nulls []bool, i int32) bool { return nulls != nil && nulls[i] }
+
+// decimalLen is len(strconv.FormatInt(v, 10)).
+func decimalLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// batchWireSize is types.WireSize summed over a batch's selected rows: the
+// fixed width of each column type, plus the lengths of non-NULL strings.
+func batchWireSize(b *storage.Batch) int {
+	n := 0
+	for _, c := range b.Cols {
+		switch c.Type() {
+		case types.Int64, types.Float64:
+			n += 8 * len(b.Sel)
+		case types.Bool:
+			n += len(b.Sel)
+		case types.Varchar:
+			n += 4 * len(b.Sel)
+			for _, i := range b.Sel {
+				if v := c.Get(int(i)); !v.Null {
+					n += len(v.S)
+				}
+			}
+		}
 	}
 	return n
 }

@@ -9,15 +9,23 @@ import (
 
 	"vsfabric/internal/obs"
 	"vsfabric/internal/sim"
+	"vsfabric/internal/storage"
 	"vsfabric/internal/txn"
 	"vsfabric/internal/types"
 	"vsfabric/internal/vsql"
 )
 
-// Result is the outcome of one statement.
+// Result is the outcome of one statement. A result set comes in one of two
+// forms: Rows (what Execute, ExecuteContext and ExecuteStmt return), or
+// Batches (what ExecuteColumns returns).
 type Result struct {
-	Schema       types.Schema
-	Rows         []types.Row
+	Schema types.Schema
+	Rows   []types.Row
+	// Batches is the column form of the result set: each batch's columns
+	// follow Schema, and its selected rows, batch by batch in selection
+	// order, are the result's rows. Non-nil marks the column form (Rows is
+	// then nil). Batches share the storage's immutable column vectors.
+	Batches      []*storage.Batch `json:"-"`
 	RowsAffected int64
 	// Epoch is the snapshot epoch a SELECT read at, or the commit epoch of a
 	// committed write. V2S uses the former to pin all partition queries to
@@ -25,6 +33,87 @@ type Result struct {
 	Epoch uint64
 	// Copy carries bulk-load statistics when the statement was a COPY.
 	Copy *CopyResult
+}
+
+// NumRows returns the number of rows in the result set, in either form.
+func (r *Result) NumRows() int {
+	if r.Batches == nil {
+		return len(r.Rows)
+	}
+	n := 0
+	for _, b := range r.Batches {
+		n += b.Len()
+	}
+	return n
+}
+
+// rowForm boxes a column-form result set into Rows.
+func (r *Result) rowForm() {
+	if r.Batches != nil {
+		r.Rows = materialize(r.Batches)
+		r.Batches = nil
+	}
+}
+
+// columnForm converts a row-form result set into a single batch, coercing
+// each value to its column's declared type: engine results are permissive
+// (an expression over a FLOAT column can yield INTEGER-kinded values), but
+// column vectors are strict. A result without a schema has no result set
+// and is left alone.
+func (r *Result) columnForm() error {
+	if r.Batches != nil || r.Schema.NumCols() == 0 {
+		return nil
+	}
+	if len(r.Rows) == 0 {
+		// No columns to build (an UNKNOWN-typed one could not be): the
+		// schema alone describes an empty result.
+		r.Batches, r.Rows = []*storage.Batch{}, nil
+		return nil
+	}
+	builders := make([]*storage.Builder, r.Schema.NumCols())
+	for j, c := range r.Schema.Cols {
+		builders[j] = storage.NewBuilder(c.T)
+	}
+	for _, row := range r.Rows {
+		if len(row) != len(builders) {
+			return fmt.Errorf("vertica: result row width %d != schema width %d", len(row), len(builders))
+		}
+		for j, v := range row {
+			if err := builders[j].Append(coerceResult(v, r.Schema.Cols[j].T)); err != nil {
+				return err
+			}
+		}
+	}
+	cols := make([]storage.Column, len(builders))
+	for j, b := range builders {
+		cols[j] = b.Build()
+	}
+	sel := make([]int32, len(r.Rows))
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	r.Batches = []*storage.Batch{{Schema: r.Schema, Cols: cols, Sel: sel}}
+	r.Rows = nil
+	return nil
+}
+
+// coerceResult converts v to a result column's declared type (Unknown keeps
+// it as is).
+func coerceResult(v types.Value, want types.Type) types.Value {
+	switch {
+	case v.T == want || want == types.Unknown:
+		return v
+	case v.Null:
+		return types.NullValue(want)
+	case want == types.Int64:
+		return types.IntValue(v.AsInt())
+	case want == types.Float64:
+		return types.FloatValue(v.AsFloat())
+	case want == types.Bool:
+		return types.BoolValue(v.AsBool())
+	default:
+		return types.StringValue(v.String())
+	}
 }
 
 // Value returns the single value of a one-row, one-column result.
@@ -137,15 +226,42 @@ func (s *Session) Execute(sql string) (*Result, error) {
 	return s.ExecuteContext(context.Background(), sql)
 }
 
-// ExecuteContext parses and runs one SQL statement. The context carries
-// cancellation and, via obs.With / obs.WithPeer, the caller's observer and
-// client-host name for the performance layer.
+// ExecuteContext parses and runs one SQL statement, returning any result
+// set as Rows. The context carries cancellation and, via obs.With /
+// obs.WithPeer, the caller's observer and client-host name for the
+// performance layer.
 func (s *Session) ExecuteContext(ctx context.Context, sql string) (*Result, error) {
 	stmt, err := vsql.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return s.executeStmtCtx(ctx, stmt, sql)
+	res, err := s.executeStmtCtx(ctx, stmt, sql)
+	if err != nil {
+		return nil, err
+	}
+	res.rowForm()
+	return res, nil
+}
+
+// ExecuteColumns is ExecuteContext returning any result set in column form
+// (Result.Batches, Rows nil): a single-table scan's batches pass through
+// without a value being boxed, and a row-shaped result (joins, aggregates,
+// ORDER BY, computed items, views, system tables) is converted to one
+// batch with each value coerced to its column's declared type. The wire
+// server streams results from this form.
+func (s *Session) ExecuteColumns(ctx context.Context, sql string) (*Result, error) {
+	stmt, err := vsql.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.executeStmtCtx(ctx, stmt, sql)
+	if err != nil {
+		return nil, err
+	}
+	if err := res.columnForm(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // MustExecute is Execute for setup code where failure is a bug.
@@ -157,9 +273,15 @@ func (s *Session) MustExecute(sql string) *Result {
 	return r
 }
 
-// ExecuteStmt runs a parsed statement under a background context.
+// ExecuteStmt runs a parsed statement under a background context, returning
+// any result set as Rows.
 func (s *Session) ExecuteStmt(stmt vsql.Statement) (*Result, error) {
-	return s.executeStmtCtx(context.Background(), stmt, "")
+	res, err := s.executeStmtCtx(context.Background(), stmt, "")
+	if err != nil {
+		return nil, err
+	}
+	res.rowForm()
+	return res, nil
 }
 
 // executeStmtCtx runs one statement: it binds the context's observer and
@@ -194,7 +316,7 @@ func (s *Session) executeStmtCtx(ctx context.Context, stmt vsql.Statement, sqlTe
 	dur := time.Since(start)
 	if sp != nil {
 		if res != nil {
-			rows := int64(len(res.Rows))
+			rows := int64(res.NumRows())
 			if rows == 0 {
 				rows = res.RowsAffected
 			}

@@ -96,10 +96,11 @@ func TestScanTableMatchesRowAtATime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference scan %q: %v", cond, err)
 		}
-		gotRows, _, gotSchema, err := s.scanTable(tbl, where, vis, newScanStats(), scanOpts{limit: -1})
+		gotBatches, _, gotSchema, err := s.scanTable(tbl, where, vis, newScanStats(), scanOpts{limit: -1})
 		if err != nil {
 			t.Fatalf("vectorized scan %q: %v", cond, err)
 		}
+		gotRows := materialize(gotBatches)
 		if len(gotSchema.Cols) != len(wantSchema.Cols) {
 			t.Fatalf("%q: schema width %d vs %d", cond, len(gotSchema.Cols), len(wantSchema.Cols))
 		}
@@ -131,11 +132,12 @@ func TestScanTableNeedCols(t *testing.T) {
 	s.MustExecute("INSERT INTO t VALUES (1, 1.5, 'a'), (2, 2.5, 'b'), (3, 3.5, 'c')")
 	tbl, _ := c.Catalog().Table("t")
 	vis := snapshotVis(c)
-	rows, _, schema, err := s.scanTable(tbl, parseWhere(t, "val > 2.0"), vis,
+	batches, _, schema, err := s.scanTable(tbl, parseWhere(t, "val > 2.0"), vis,
 		newScanStats(), scanOpts{limit: -1, needCols: []string{"name"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := materialize(batches)
 	if len(schema.Cols) != 1 || schema.Cols[0].Name != "name" {
 		t.Fatalf("narrowed schema = %v", schema.Cols)
 	}
@@ -148,11 +150,12 @@ func TestScanTableNeedCols(t *testing.T) {
 		}
 	}
 	// Unresolvable names fall back to the full schema rather than failing.
-	rows, _, schema, err = s.scanTable(tbl, nil, vis,
+	batches, _, schema, err = s.scanTable(tbl, nil, vis,
 		newScanStats(), scanOpts{limit: -1, needCols: []string{"nope"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows = materialize(batches)
 	if len(schema.Cols) != 3 || len(rows) != 3 {
 		t.Fatalf("fallback returned %d cols, %d rows", len(schema.Cols), len(rows))
 	}
