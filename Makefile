@@ -44,16 +44,22 @@ rebalance-test:
 # Wire-protocol gate: the binary frame codec (property tests plus the fuzz
 # seed corpora), the columnar result path's equivalence with in-process
 # results, the v1/v2 handshake-downgrade matrix, pipelining order and
-# concurrent-connection suites, the mid-COPY desync regression, the
-# result-payload decoder's malformed-input regressions, and the
-# resource-pool admission suites — all under the race detector.
+# concurrent-connection suites, the mid-COPY desync and client-disconnect
+# regressions, the result-payload decoder's malformed-input regressions,
+# the Avro reader's truncation and oversized-block regressions plus its
+# fuzzer, the columnar write path's equivalence with the row-at-a-time
+# oracle (hashes, placement, WAL payloads, replay, INSERT ... SELECT), and
+# the resource-pool admission suites — all under the race detector.
 wire-test:
-	$(GO) test -race -run 'Bin|WireCode|Handshake|Pipeline|ExecuteStream|ColumnarResults|PoolSentinels|MidCopy|CopyEngineError|FrameCodec|ReadFrameRejects|WriteFrameSingle' ./internal/server/
-	$(GO) test -race -run 'Decode|FuzzSeeds' ./internal/storage/
+	$(GO) test -race -run 'Bin|WireCode|Handshake|Pipeline|ExecuteStream|ColumnarResults|PoolSentinels|MidCopy|CopyEngineError|CopyDisconnect|FrameCodec|ReadFrameRejects|WriteFrameSingle' ./internal/server/
+	$(GO) test -race -run 'Decode|FuzzSeeds|HashColumns' ./internal/storage/
+	$(GO) test -race -run 'Reader|OCF|FuzzAvroReader' ./internal/avro/
+	$(GO) test -race -run 'Columnar|CopyAvroTruncated' ./internal/vertica/
 	$(GO) test -race -run xxx -fuzz FuzzBinRequestDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinDoneDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzBinErrorDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzDecodeColumns -fuzztime 5s ./internal/storage/
+	$(GO) test -race -run xxx -fuzz FuzzAvroReader -fuzztime 5s ./internal/avro/
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL' ./internal/vertica/
 

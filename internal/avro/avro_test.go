@@ -3,11 +3,13 @@ package avro
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
 
@@ -37,6 +39,56 @@ func rowsEqual(a, b types.Row) bool {
 		}
 	}
 	return true
+}
+
+// decodeRow decodes one record of data (and nothing else) back to a row.
+func decodeRow(data []byte, s Schema) (types.Row, error) {
+	builders := storage.NewBuilders(s.ToTypes())
+	if err := decodeRecords(data, 1, s, builders); err != nil {
+		return nil, err
+	}
+	row := make(types.Row, len(builders))
+	for i, b := range builders {
+		row[i] = b.Build().Get(0)
+	}
+	return row, nil
+}
+
+// readAll decodes every record of an OCF stream into one column per field.
+func readAll(rd io.Reader) (Schema, []storage.Column, int, error) {
+	r, err := NewReader(rd)
+	if err != nil {
+		return Schema{}, nil, 0, err
+	}
+	builders := storage.NewBuilders(r.schema.ToTypes())
+	n := 0
+	for {
+		k, err := r.ReadBlock(builders)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return Schema{}, nil, 0, err
+		}
+		n += k
+	}
+	return r.schema, storage.BuildAll(builders), n, nil
+}
+
+// readRows decodes a whole OCF stream and boxes its columns into rows.
+func readRows(rd io.Reader) (Schema, []types.Row, error) {
+	schema, cols, n, err := readAll(rd)
+	if err != nil {
+		return schema, nil, err
+	}
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = make(types.Row, len(cols))
+		for j, c := range cols {
+			rows[i][j] = c.Get(i)
+		}
+	}
+	return schema, rows, nil
 }
 
 func TestZigzag(t *testing.T) {
@@ -75,7 +127,7 @@ func TestRowBinaryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeRow(&byteReader{r: bytes.NewReader(data)}, testSchema)
+		got, err := decodeRow(data, testSchema)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +152,7 @@ func TestOCFRoundTrip(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		schema, rows, err := ReadAll(&buf)
+		schema, rows, err := readRows(&buf)
 		if err != nil {
 			t.Fatalf("codec %s: %v", codec, err)
 		}
@@ -127,7 +179,7 @@ func TestOCFEmptyFile(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rows, err := ReadAll(&buf)
+	_, rows, err := readRows(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,16 +226,8 @@ func TestOCFTruncated(t *testing.T) {
 	}
 	_ = w.Close()
 	data := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(data[:len(data)-4]))
-	if err == nil {
-		for {
-			if _, err = r.Next(); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil || err == io.EOF {
-		t.Error("truncated file should surface an error")
+	if _, _, err := readRows(bytes.NewReader(data[:len(data)-4])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated file: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
 
@@ -195,7 +239,7 @@ func TestRowBinaryQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeRow(&byteReader{r: bytes.NewReader(data)}, s)
+		got, err := decodeRow(data, s)
 		return err == nil && got[0].I == a && got[1].S == b
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -1,12 +1,12 @@
 package avro
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 
+	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
 
@@ -15,12 +15,8 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// writeLong writes an Avro long (zigzag varint).
-func writeLong(w *bytes.Buffer, v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], zigzag(v))
-	w.Write(tmp[:n])
-}
+// appendLong appends an Avro long (zigzag varint).
+func appendLong(buf []byte, v int64) []byte { return binary.AppendUvarint(buf, zigzag(v)) }
 
 // readLong reads an Avro long.
 func readLong(r io.ByteReader) (int64, error) {
@@ -37,106 +33,98 @@ func EncodeRow(buf []byte, r types.Row, s Schema) ([]byte, error) {
 	if len(r) != len(s.Fields) {
 		return nil, fmt.Errorf("avro: row has %d fields, schema has %d", len(r), len(s.Fields))
 	}
-	var b bytes.Buffer
 	for i, f := range s.Fields {
 		v := r[i]
 		if v.Null {
-			writeLong(&b, 0) // union branch 0: null
+			buf = append(buf, 0) // union branch 0: null
 			continue
 		}
-		writeLong(&b, 1) // union branch 1: value
+		buf = append(buf, 2) // union branch 1 (zigzag): value
 		switch f.Type {
 		case types.Int64:
-			writeLong(&b, v.AsInt())
+			buf = appendLong(buf, v.AsInt())
 		case types.Float64:
-			var tmp [8]byte
-			binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.AsFloat()))
-			b.Write(tmp[:])
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.AsFloat()))
 		case types.Varchar:
-			writeLong(&b, int64(len(v.S)))
-			b.WriteString(v.S)
+			buf = appendLong(buf, int64(len(v.S)))
+			buf = append(buf, v.S...)
 		case types.Bool:
 			if v.AsBool() {
-				b.WriteByte(1)
+				buf = append(buf, 1)
 			} else {
-				b.WriteByte(0)
+				buf = append(buf, 0)
 			}
 		default:
 			return nil, fmt.Errorf("avro: unsupported field type %v", f.Type)
 		}
 	}
-	return append(buf, b.Bytes()...), nil
+	return buf, nil
 }
 
-// byteReader adapts an io.Reader providing ReadByte and bulk reads.
-type byteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
+// decodeRecords decodes exactly count records from one block's data,
+// appending field i of each to cols[i]. The block must hold nothing else.
+// Every length is checked against the bytes left before it is used.
+func decodeRecords(data []byte, count int64, s Schema, cols []*storage.Builder) error {
+	// Each field takes at least its one-byte union branch.
+	if nf := int64(len(s.Fields)); count < 0 || count > int64(len(data))/nf {
+		return fmt.Errorf("avro: block claims %d records in %d bytes", count, len(data))
 	}
-	return b.one[0], nil
-}
-
-func (b *byteReader) ReadFull(p []byte) error {
-	_, err := io.ReadFull(b.r, p)
-	return err
-}
-
-// DecodeRow reads one row in Avro binary encoding.
-func DecodeRow(r *byteReader, s Schema) (types.Row, error) {
-	row := make(types.Row, len(s.Fields))
-	for i, f := range s.Fields {
-		branch, err := readLong(r)
-		if err != nil {
-			return nil, err
+	p := 0
+	long := func() (int64, bool) {
+		u, n := binary.Uvarint(data[p:])
+		if n <= 0 {
+			return 0, false
 		}
-		switch branch {
-		case 0:
-			row[i] = types.NullValue(f.Type)
-			continue
-		case 1:
-		default:
-			return nil, fmt.Errorf("avro: field %q: bad union branch %d", f.Name, branch)
-		}
-		switch f.Type {
-		case types.Int64:
-			v, err := readLong(r)
-			if err != nil {
-				return nil, err
+		p += n
+		return unzigzag(u), true
+	}
+	for k := int64(0); k < count; k++ {
+		for i, f := range s.Fields {
+			branch, ok := long()
+			if !ok {
+				return fmt.Errorf("avro: record %d field %q: %w", k, f.Name, io.ErrUnexpectedEOF)
 			}
-			row[i] = types.IntValue(v)
-		case types.Float64:
-			var tmp [8]byte
-			if err := r.ReadFull(tmp[:]); err != nil {
-				return nil, err
+			switch branch {
+			case 0:
+				cols[i].AppendNull()
+				continue
+			case 1:
+			default:
+				return fmt.Errorf("avro: field %q: bad union branch %d", f.Name, branch)
 			}
-			row[i] = types.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])))
-		case types.Varchar:
-			n, err := readLong(r)
-			if err != nil {
-				return nil, err
+			switch f.Type {
+			case types.Int64:
+				v, ok := long()
+				if !ok {
+					return fmt.Errorf("avro: record %d field %q: bad long", k, f.Name)
+				}
+				cols[i].AppendInt(v)
+			case types.Float64:
+				if len(data)-p < 8 {
+					return fmt.Errorf("avro: record %d field %q: %w", k, f.Name, io.ErrUnexpectedEOF)
+				}
+				cols[i].AppendFloat(math.Float64frombits(binary.LittleEndian.Uint64(data[p:])))
+				p += 8
+			case types.Varchar:
+				n, ok := long()
+				if !ok || n < 0 || n > int64(len(data)-p) {
+					return fmt.Errorf("avro: record %d field %q: bad string length %d with %d bytes left", k, f.Name, n, len(data)-p)
+				}
+				cols[i].AppendString(string(data[p : p+int(n)]))
+				p += int(n)
+			case types.Bool:
+				if p >= len(data) {
+					return fmt.Errorf("avro: record %d field %q: %w", k, f.Name, io.ErrUnexpectedEOF)
+				}
+				cols[i].AppendBool(data[p] != 0)
+				p++
+			default:
+				return fmt.Errorf("avro: unsupported field type %v", f.Type)
 			}
-			if n < 0 || n > 1<<30 {
-				return nil, fmt.Errorf("avro: field %q: bad string length %d", f.Name, n)
-			}
-			b := make([]byte, n)
-			if err := r.ReadFull(b); err != nil {
-				return nil, err
-			}
-			row[i] = types.StringValue(string(b))
-		case types.Bool:
-			c, err := r.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			row[i] = types.BoolValue(c != 0)
-		default:
-			return nil, fmt.Errorf("avro: unsupported field type %v", f.Type)
 		}
 	}
-	return row, nil
+	if p != len(data) {
+		return fmt.Errorf("avro: block holds %d bytes past its %d records", len(data)-p, count)
+	}
+	return nil
 }

@@ -1,13 +1,16 @@
 package avro
 
 import (
+	"bufio"
 	"bytes"
 	"compress/flate"
 	"crypto/rand"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
+	"vsfabric/internal/storage"
 	"vsfabric/internal/types"
 )
 
@@ -23,13 +26,17 @@ const (
 var magic = []byte{'O', 'b', 'j', 1}
 
 // Writer produces an Avro Object Container File: header with schema and
-// codec metadata, then compressed blocks separated by a sync marker.
+// codec metadata, then compressed blocks separated by a sync marker. It
+// keeps one compressor and its block buffers for the life of the file.
 type Writer struct {
 	w         io.Writer
 	schema    Schema
 	codec     Codec
 	sync      [16]byte
-	buf       []byte
+	buf       []byte       // the current block's encoded records
+	zbuf      bytes.Buffer // the current block compressed
+	fw        *flate.Writer
+	out       []byte // one framed block (or the header), written in one call
 	count     int64
 	blockRows int
 	wroteHdr  bool
@@ -62,22 +69,22 @@ func (w *Writer) writeHeader() error {
 	if err != nil {
 		return err
 	}
-	var b bytes.Buffer
-	b.Write(magic)
+	b := append(w.out[:0], magic...)
 	// Metadata map: one block of 2 entries, then end-of-map.
-	writeLong(&b, 2)
+	b = appendLong(b, 2)
 	for _, kv := range [][2][]byte{
 		{[]byte("avro.schema"), schemaJSON},
 		{[]byte("avro.codec"), []byte(w.codec)},
 	} {
-		writeLong(&b, int64(len(kv[0])))
-		b.Write(kv[0])
-		writeLong(&b, int64(len(kv[1])))
-		b.Write(kv[1])
+		b = appendLong(b, int64(len(kv[0])))
+		b = append(b, kv[0]...)
+		b = appendLong(b, int64(len(kv[1])))
+		b = append(b, kv[1]...)
 	}
-	writeLong(&b, 0)
-	b.Write(w.sync[:])
-	if _, err := w.w.Write(b.Bytes()); err != nil {
+	b = appendLong(b, 0)
+	b = append(b, w.sync[:]...)
+	w.out = b
+	if _, err := w.w.Write(b); err != nil {
 		return err
 	}
 	w.wroteHdr = true
@@ -112,34 +119,42 @@ func (w *Writer) flushBlock() error {
 	}
 	data := w.buf
 	if w.codec == CodecDeflate {
-		var cb bytes.Buffer
-		fw, err := flate.NewWriter(&cb, flate.DefaultCompression)
-		if err != nil {
+		if err := w.deflate(data); err != nil {
 			w.err = err
 			return err
 		}
-		if _, err := fw.Write(data); err != nil {
-			w.err = err
-			return err
-		}
-		if err := fw.Close(); err != nil {
-			w.err = err
-			return err
-		}
-		data = cb.Bytes()
+		data = w.zbuf.Bytes()
 	}
-	var b bytes.Buffer
-	writeLong(&b, w.count)
-	writeLong(&b, int64(len(data)))
-	b.Write(data)
-	b.Write(w.sync[:])
-	if _, err := w.w.Write(b.Bytes()); err != nil {
+	b := appendLong(w.out[:0], w.count)
+	b = appendLong(b, int64(len(data)))
+	b = append(b, data...)
+	b = append(b, w.sync[:]...)
+	w.out = b
+	if _, err := w.w.Write(b); err != nil {
 		w.err = err
 		return err
 	}
 	w.buf = w.buf[:0]
 	w.count = 0
 	return nil
+}
+
+// deflate compresses one block into zbuf, reusing the writer's compressor.
+func (w *Writer) deflate(data []byte) error {
+	w.zbuf.Reset()
+	if w.fw == nil {
+		fw, err := flate.NewWriter(&w.zbuf, flate.DefaultCompression)
+		if err != nil {
+			return err
+		}
+		w.fw = fw
+	} else {
+		w.fw.Reset(&w.zbuf)
+	}
+	if _, err := w.fw.Write(data); err != nil {
+		return err
+	}
+	return w.fw.Close()
 }
 
 // Close flushes the final block (and the header, so empty files are valid).
@@ -153,48 +168,54 @@ func (w *Writer) Close() error {
 	return w.flushBlock()
 }
 
-// Reader consumes an Avro Object Container File.
+// Reader consumes an Avro Object Container File block by block, decoding
+// each block's records straight into column builders. It keeps one
+// inflater and its block buffers for the life of the file. It never
+// allocates ahead of the bytes that have arrived, and a stream that ends
+// anywhere but a block boundary fails with io.ErrUnexpectedEOF.
 type Reader struct {
-	br     *byteReader
+	br     *bufio.Reader
 	schema Schema
 	codec  Codec
 	sync   [16]byte
 
-	block     *byteReader
-	remaining int64
+	raw      []byte        // the current block as it arrived
+	src      bytes.Reader  // raw, as the inflater's input
+	inflated bytes.Buffer  // raw decompressed (deflate codec)
+	fr       io.ReadCloser // the inflater, reset per block
 }
 
 // NewReader parses the OCF header.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := &byteReader{r: r}
-	head := make([]byte, 4)
-	if err := br.ReadFull(head); err != nil {
+	br := bufio.NewReader(r)
+	var head [4]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
 		return nil, fmt.Errorf("avro: short magic: %w", err)
 	}
-	if !bytes.Equal(head, magic) {
+	if !bytes.Equal(head[:], magic) {
 		return nil, fmt.Errorf("avro: bad magic %v", head)
 	}
 	rd := &Reader{br: br, codec: CodecNull}
 	for {
-		n, err := readLong(br)
+		n, err := rd.long()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("avro: header: %w", err)
 		}
 		if n == 0 {
 			break
 		}
 		if n < 0 { // negative count: size follows, per spec
 			n = -n
-			if _, err := readLong(br); err != nil {
-				return nil, err
+			if _, err := rd.long(); err != nil {
+				return nil, fmt.Errorf("avro: header: %w", err)
 			}
 		}
 		for i := int64(0); i < n; i++ {
-			key, err := readBytesField(br)
+			key, err := rd.bytesField()
 			if err != nil {
 				return nil, err
 			}
-			val, err := readBytesField(br)
+			val, err := rd.bytesField()
 			if err != nil {
 				return nil, err
 			}
@@ -210,8 +231,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 			}
 		}
 	}
-	if err := br.ReadFull(rd.sync[:]); err != nil {
-		return nil, err
+	if _, err := io.ReadFull(br, rd.sync[:]); err != nil {
+		return nil, fmt.Errorf("avro: header sync: %w", noEOF(err))
 	}
 	if len(rd.schema.Fields) == 0 {
 		return nil, fmt.Errorf("avro: file has no schema")
@@ -224,17 +245,50 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return rd, nil
 }
 
-func readBytesField(br *byteReader) ([]byte, error) {
-	n, err := readLong(br)
-	if err != nil {
-		return nil, err
+// noEOF turns a clean end of input into io.ErrUnexpectedEOF, for reads
+// that cannot legally end the stream.
+func noEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	if n < 0 || n > 1<<30 {
+	return err
+}
+
+// long reads an Avro long that must be present.
+func (r *Reader) long() (int64, error) {
+	v, err := readLong(r.br)
+	return v, noEOF(err)
+}
+
+// fill reads exactly n bytes into dst's backing array, growing it only as
+// bytes arrive: a length field claiming more than the stream holds fails
+// with io.ErrUnexpectedEOF after allocating about what was actually sent.
+func (r *Reader) fill(dst []byte, n int64) ([]byte, error) {
+	const step = 64 << 10
+	dst = dst[:0]
+	for int64(len(dst)) < n {
+		chunk := int(min(n-int64(len(dst)), int64(max(len(dst), step))))
+		dst = slices.Grow(dst, chunk)
+		got, err := io.ReadFull(r.br, dst[len(dst):len(dst)+chunk])
+		dst = dst[:len(dst)+got]
+		if err != nil {
+			return dst, noEOF(err)
+		}
+	}
+	return dst, nil
+}
+
+func (r *Reader) bytesField() ([]byte, error) {
+	n, err := r.long()
+	if err != nil {
+		return nil, fmt.Errorf("avro: header: %w", err)
+	}
+	if n < 0 {
 		return nil, fmt.Errorf("avro: bad bytes length %d", n)
 	}
-	b := make([]byte, n)
-	if err := br.ReadFull(b); err != nil {
-		return nil, err
+	b, err := r.fill(nil, n)
+	if err != nil {
+		return nil, fmt.Errorf("avro: header: %w", err)
 	}
 	return b, nil
 }
@@ -242,68 +296,60 @@ func readBytesField(br *byteReader) ([]byte, error) {
 // Schema returns the file's record schema.
 func (r *Reader) Schema() Schema { return r.schema }
 
-// Next returns the next row, or io.EOF at end of file.
-func (r *Reader) Next() (types.Row, error) {
-	for r.remaining == 0 {
-		count, err := readLong(r.br)
-		if err != nil {
-			if err == io.EOF {
-				return nil, io.EOF
-			}
-			return nil, err
-		}
-		size, err := readLong(r.br)
-		if err != nil {
-			return nil, err
-		}
-		if size < 0 || size > 1<<31 {
-			return nil, fmt.Errorf("avro: bad block size %d", size)
-		}
-		data := make([]byte, size)
-		if err := r.br.ReadFull(data); err != nil {
-			return nil, err
-		}
-		var sync [16]byte
-		if err := r.br.ReadFull(sync[:]); err != nil {
-			return nil, err
-		}
-		if sync != r.sync {
-			return nil, fmt.Errorf("avro: sync marker mismatch")
-		}
-		if r.codec == CodecDeflate {
-			fr := flate.NewReader(bytes.NewReader(data))
-			dec, err := io.ReadAll(fr)
-			if err != nil {
-				return nil, fmt.Errorf("avro: deflate: %w", err)
-			}
-			data = dec
-		}
-		r.block = &byteReader{r: bytes.NewReader(data)}
-		r.remaining = count
+// ReadBlock decodes the next block, appending field i of each record to
+// cols[i] (builders of the fields' types, as storage.NewBuilders makes
+// from Schema.ToTypes), and returns how many records it held.
+// It returns io.EOF once the stream ends cleanly after a block. On any
+// other error cols may hold part of the failed block.
+func (r *Reader) ReadBlock(cols []*storage.Builder) (int, error) {
+	count, err := readLong(r.br)
+	if err == io.EOF {
+		return 0, io.EOF
 	}
-	row, err := DecodeRow(r.block, r.schema)
 	if err != nil {
-		return nil, err
+		return 0, fmt.Errorf("avro: block count: %w", noEOF(err))
 	}
-	r.remaining--
-	return row, nil
+	size, err := r.long()
+	if err != nil {
+		return 0, fmt.Errorf("avro: block size: %w", err)
+	}
+	if count < 0 || size < 0 {
+		return 0, fmt.Errorf("avro: bad block header (%d records, %d bytes)", count, size)
+	}
+	if r.raw, err = r.fill(r.raw, size); err != nil {
+		return 0, fmt.Errorf("avro: block data: %w", err)
+	}
+	var sync [16]byte
+	if _, err := io.ReadFull(r.br, sync[:]); err != nil {
+		return 0, fmt.Errorf("avro: block sync: %w", noEOF(err))
+	}
+	if sync != r.sync {
+		return 0, fmt.Errorf("avro: sync marker mismatch")
+	}
+	data := r.raw
+	if r.codec == CodecDeflate {
+		if data, err = r.inflate(data); err != nil {
+			return 0, fmt.Errorf("avro: deflate: %w", err)
+		}
+	}
+	if err := decodeRecords(data, count, r.schema, cols); err != nil {
+		return 0, err
+	}
+	return int(count), nil
 }
 
-// ReadAll decodes every row of an OCF stream.
-func ReadAll(rd io.Reader) (Schema, []types.Row, error) {
-	r, err := NewReader(rd)
-	if err != nil {
-		return Schema{}, nil, err
+// inflate decompresses one block, reusing the reader's inflater and output
+// buffer.
+func (r *Reader) inflate(data []byte) ([]byte, error) {
+	r.src.Reset(data)
+	if r.fr == nil {
+		r.fr = flate.NewReader(&r.src)
+	} else if err := r.fr.(flate.Resetter).Reset(&r.src, nil); err != nil {
+		return nil, err
 	}
-	var rows []types.Row
-	for {
-		row, err := r.Next()
-		if err == io.EOF {
-			return r.schema, rows, nil
-		}
-		if err != nil {
-			return Schema{}, nil, err
-		}
-		rows = append(rows, row)
+	r.inflated.Reset()
+	if _, err := r.inflated.ReadFrom(r.fr); err != nil {
+		return nil, err
 	}
+	return r.inflated.Bytes(), nil
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/rand"
 	"fmt"
-	"sync/atomic"
 
 	"vsfabric/internal/client"
 	"vsfabric/internal/obs"
@@ -15,9 +15,8 @@ import (
 // DefaultSource is the connector's data source implementation: the read side
 // creates V2S relations, the write side runs the S2V protocol.
 type DefaultSource struct {
-	pool   client.Connector
-	obsv   obs.Observer
-	jobSeq atomic.Uint64
+	pool client.Connector
+	obsv obs.Observer
 }
 
 // NewDefaultSource builds a source over a driver connector.
@@ -57,11 +56,25 @@ func (d *DefaultSource) SaveRelation(sc *spark.Context, mode spark.SaveMode, opt
 		return err
 	}
 	if opts.JobName == "" {
-		opts.JobName = fmt.Sprintf("s2v_job_%d", d.jobSeq.Add(1))
+		if opts.JobName, err = newJobName(); err != nil {
+			return err
+		}
 	}
 	opts.Observer = obs.Multi(opts.Observer, d.obsv)
 	w := &s2vWriter{pool: d.pool, opts: opts, mode: mode}
 	return w.run(sc, df)
+}
+
+// newJobName returns a default S2V job name. The status table is permanent
+// and shared by every source, driver and process saving to the cluster, so
+// the name carries a crypto-random 64-bit suffix rather than a counter any
+// of them could repeat.
+func newJobName() (string, error) {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return "", fmt.Errorf("core: job name: %w", err)
+	}
+	return fmt.Sprintf("s2v_job_%x", b), nil
 }
 
 // clusterLayout is what the driver discovers from the system catalog during

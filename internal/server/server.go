@@ -387,7 +387,12 @@ func (c *copyReader) Read(p []byte) (int, error) {
 		}
 		typ, payload, err := readFrame(c.conn)
 		if err != nil {
+			// Only 'E' ends the stream: a hang-up before it is a torn load,
+			// never a short one.
 			c.broken = true
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return 0, err
 		}
 		switch typ {
@@ -469,10 +474,7 @@ func (s *Server) sendBinResult(conn net.Conn, tag uint32, res *vertica.Result) e
 // A schema with zero rows still emits one payload, so schema probes
 // ("SELECT ... LIMIT 0") arrive intact.
 func encodeBatches(schema types.Schema, bs []*storage.Batch, emit func([]byte) error) error {
-	builders := make([]*storage.Builder, schema.NumCols())
-	for j, c := range schema.Cols {
-		builders[j] = storage.NewBuilder(c.T)
-	}
+	builders := storage.NewBuilders(schema)
 	cols := make([]storage.Column, len(builders))
 	n, emitted := 0, false
 	flush := func() error {

@@ -9,8 +9,10 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"vsfabric/internal/types"
+	"vsfabric/internal/vhash"
 )
 
 // Column is an immutable typed vector of values with a null bitmap.
@@ -253,6 +255,48 @@ func (b *Builder) Append(v types.Value) error {
 	return nil
 }
 
+// AppendNull adds a NULL (a zero value under a set null bit).
+func (b *Builder) AppendNull() {
+	switch b.t {
+	case types.Int64:
+		b.ints = append(b.ints, 0)
+	case types.Float64:
+		b.floats = append(b.floats, 0)
+	case types.Varchar:
+		b.strs = append(b.strs, "")
+	case types.Bool:
+		b.bools = append(b.bools, false)
+	}
+	b.nulls = append(b.nulls, true)
+	b.anyNulls = true
+}
+
+// AppendInt adds a non-NULL value to an INTEGER builder. The typed appends
+// let decoders fill columns without boxing each value; the caller
+// guarantees the builder's type.
+func (b *Builder) AppendInt(v int64) {
+	b.ints = append(b.ints, v)
+	b.nulls = append(b.nulls, false)
+}
+
+// AppendFloat adds a non-NULL value to a FLOAT builder.
+func (b *Builder) AppendFloat(v float64) {
+	b.floats = append(b.floats, v)
+	b.nulls = append(b.nulls, false)
+}
+
+// AppendString adds a non-NULL value to a VARCHAR builder.
+func (b *Builder) AppendString(v string) {
+	b.strs = append(b.strs, v)
+	b.nulls = append(b.nulls, false)
+}
+
+// AppendBool adds a non-NULL value to a BOOLEAN builder.
+func (b *Builder) AppendBool(v bool) {
+	b.bools = append(b.bools, v)
+	b.nulls = append(b.nulls, false)
+}
+
 // AppendSelected appends the rows of c at the indexes in sel, in order,
 // copying typed values without boxing them. c must hold the builder's type.
 func (b *Builder) AppendSelected(c Column, sel []int32) error {
@@ -261,21 +305,25 @@ func (b *Builder) AppendSelected(c Column, sel []int32) error {
 	}
 	switch col := c.(type) {
 	case *Int64Column:
+		b.ints = slices.Grow(b.ints, len(sel))
 		for _, i := range sel {
 			b.ints = append(b.ints, col.Vals[i])
 		}
 		b.appendNulls(col.Nulls, sel)
 	case *Float64Column:
+		b.floats = slices.Grow(b.floats, len(sel))
 		for _, i := range sel {
 			b.floats = append(b.floats, col.Vals[i])
 		}
 		b.appendNulls(col.Nulls, sel)
 	case *StringColumn:
+		b.strs = slices.Grow(b.strs, len(sel))
 		for _, i := range sel {
 			b.strs = append(b.strs, col.Vals[i])
 		}
 		b.appendNulls(col.Nulls, sel)
 	case *BoolColumn:
+		b.bools = slices.Grow(b.bools, len(sel))
 		for _, i := range sel {
 			b.bools = append(b.bools, col.Vals[i])
 		}
@@ -283,6 +331,7 @@ func (b *Builder) AppendSelected(c Column, sel []int32) error {
 	case *Int64RLEColumn:
 		// Selections are ascending, so the covering run only moves forward;
 		// RunOf re-seeks if an index ever goes backwards.
+		b.ints = slices.Grow(b.ints, len(sel))
 		run := 0
 		for _, i := range sel {
 			if run > 0 && int(col.RunEnds[run-1]) > int(i) {
@@ -306,6 +355,7 @@ func (b *Builder) AppendSelected(c Column, sel []int32) error {
 
 // appendNulls extends the null bitmap for the rows AppendSelected copied.
 func (b *Builder) appendNulls(nulls []bool, sel []int32) {
+	b.nulls = slices.Grow(b.nulls, len(sel))
 	if nulls == nil {
 		b.nulls = append(b.nulls, make([]bool, len(sel))...)
 		return
@@ -350,12 +400,27 @@ func (b *Builder) Build() Column {
 	}
 }
 
+// NewBuilders returns one builder per schema column, of its type.
+func NewBuilders(schema types.Schema) []*Builder {
+	out := make([]*Builder, schema.NumCols())
+	for i, c := range schema.Cols {
+		out[i] = NewBuilder(c.T)
+	}
+	return out
+}
+
+// BuildAll builds every builder's column, in order.
+func BuildAll(builders []*Builder) []Column {
+	cols := make([]Column, len(builders))
+	for i, b := range builders {
+		cols[i] = b.Build()
+	}
+	return cols
+}
+
 // ColumnsFromRows builds one column per schema column from a row slice.
 func ColumnsFromRows(rows []types.Row, schema types.Schema) ([]Column, error) {
-	builders := make([]*Builder, schema.NumCols())
-	for i, c := range schema.Cols {
-		builders[i] = NewBuilder(c.T)
-	}
+	builders := NewBuilders(schema)
 	for _, r := range rows {
 		if len(r) != schema.NumCols() {
 			return nil, fmt.Errorf("storage: row width %d != schema width %d", len(r), schema.NumCols())
@@ -366,9 +431,59 @@ func ColumnsFromRows(rows []types.Row, schema types.Schema) ([]Column, error) {
 			}
 		}
 	}
-	cols := make([]Column, len(builders))
-	for i, b := range builders {
-		cols[i] = b.Build()
+	return BuildAll(builders), nil
+}
+
+// HashColumns returns vhash.HashRow of each of the first n rows held in cols
+// over the column indexes segIdx (empty = the whole row), computed a column
+// at a time from the typed vectors without boxing a value.
+func HashColumns(cols []Column, segIdx []int, n int) []uint32 {
+	if n == 0 {
+		return nil
 	}
-	return cols, nil
+	state := make([]uint64, n)
+	for i := range state {
+		state[i] = vhash.Offset
+	}
+	mix := func(c Column) {
+		switch col := c.(type) {
+		case *Int64Column:
+			mixVector(state, col.Vals, col.Nulls, vhash.MixInt)
+		case *Float64Column:
+			mixVector(state, col.Vals, col.Nulls, vhash.MixFloat)
+		case *StringColumn:
+			mixVector(state, col.Vals, col.Nulls, vhash.MixString)
+		case *BoolColumn:
+			mixVector(state, col.Vals, col.Nulls, vhash.MixBool)
+		default:
+			for i := range state {
+				state[i] = vhash.MixValue(state[i], c.Get(i))
+			}
+		}
+	}
+	if len(segIdx) == 0 {
+		for _, c := range cols {
+			mix(c)
+		}
+	} else {
+		for _, ci := range segIdx {
+			mix(cols[ci])
+		}
+	}
+	out := make([]uint32, n)
+	for i, h := range state {
+		out[i] = vhash.Fold(h)
+	}
+	return out
+}
+
+// mixVector mixes vals[i] (or a NULL) into state[i] for every row.
+func mixVector[T any](state []uint64, vals []T, nulls []bool, mixVal func(uint64, T) uint64) {
+	for i := range state {
+		if nulls != nil && nulls[i] {
+			state[i] = vhash.MixNull(state[i])
+		} else {
+			state[i] = mixVal(state[i], vals[i])
+		}
+	}
 }

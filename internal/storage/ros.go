@@ -80,21 +80,25 @@ func NewROSContainer(rows []types.Row, schema types.Schema, segIdx []int, start 
 	if err != nil {
 		return nil, err
 	}
+	return newContainer(schema, cols, HashColumns(cols, segIdx, len(rows)), start), nil
+}
+
+// newContainer builds a container over dense column vectors and their
+// per-row hashes, compressing the columns where profitable. The input
+// columns are not modified, so one set can back several replicas.
+func newContainer(schema types.Schema, cols []Column, hashes []uint32, start uint64) *ROSContainer {
+	packed := make([]Column, len(cols))
 	for i, c := range cols {
-		cols[i] = CompressColumn(c)
-	}
-	hashes := make([]uint32, len(rows))
-	for i, r := range rows {
-		hashes[i] = vhash.HashRow(r, segIdx)
+		packed[i] = CompressColumn(c)
 	}
 	return &ROSContainer{
 		Schema:   schema,
-		Cols:     cols,
-		RowCount: len(rows),
+		Cols:     packed,
+		RowCount: len(hashes),
 		Hashes:   hashes,
-		stats:    ComputeStats(cols),
+		stats:    ComputeStats(packed),
 		start:    start,
-	}, nil
+	}
 }
 
 // Stats returns the container's per-column zone maps, aligned with Cols. The
@@ -218,25 +222,54 @@ func (s *Store) Schema() types.Schema { return s.schema }
 func (s *Store) SegIdx() []int { return s.segIdx }
 
 // AppendROS builds a ROS container from rows stamped with the given epoch or
-// provisional tag and adds it (the COPY DIRECT bulk-load path).
+// provisional tag and adds it.
 func (s *Store) AppendROS(rows []types.Row, tag uint64) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	c, err := NewROSContainer(rows, s.schema, s.segIdx, tag)
+	cols, err := ColumnsFromRows(rows, s.schema)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	s.ros = append(s.ros, c)
-	s.mu.Unlock()
+	s.AppendROSColumns(cols, HashColumns(cols, s.segIdx, len(rows)), tag)
 	return nil
 }
 
+// AppendROSColumns adds a container of dense column vectors in schema order
+// with their precomputed segmentation hashes, stamped with the given epoch
+// or provisional tag (the COPY DIRECT bulk-load path). The store keeps the
+// vectors, which must no longer change.
+func (s *Store) AppendROSColumns(cols []Column, hashes []uint32, tag uint64) {
+	if len(hashes) == 0 {
+		return
+	}
+	c := newContainer(s.schema, cols, hashes, tag)
+	s.mu.Lock()
+	s.ros = append(s.ros, c)
+	s.mu.Unlock()
+}
+
 // AppendWOS adds rows to the write-optimized buffer stamped with the given
-// epoch or provisional tag (the trickle INSERT path).
+// epoch or provisional tag.
 func (s *Store) AppendWOS(rows []types.Row, tag uint64) {
 	s.wos.Append(rows, s.segIdx, tag)
+}
+
+// AppendWOSColumns boxes the rows held in cols (with their precomputed
+// segmentation hashes) into the write-optimized buffer, stamped with the
+// given epoch or provisional tag (the trickle INSERT path).
+func (s *Store) AppendWOSColumns(cols []Column, hashes []uint32, tag uint64) {
+	n := len(hashes)
+	if n == 0 {
+		return
+	}
+	rows := make([]types.Row, n)
+	backing := make([]types.Value, n*len(cols))
+	for i := range rows {
+		row := backing[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)]
+		for j, c := range cols {
+			row[j] = c.Get(i)
+		}
+		rows[i] = row
+	}
+	s.wos.appendHashed(rows, hashes, tag)
 }
 
 // Moveout converts committed WOS contents into ROS containers, mirroring the
@@ -266,13 +299,15 @@ func (s *Store) Moveout(ahm uint64) error {
 		for j, i := range idxs {
 			batch[j] = rows[i]
 		}
-		c, err := NewROSContainer(batch, s.schema, s.segIdx, e)
+		cols, err := ColumnsFromRows(batch, s.schema)
 		if err != nil {
 			return err
 		}
+		batchHashes := make([]uint32, len(idxs))
 		for j, i := range idxs {
-			c.Hashes[j] = hashes[i]
+			batchHashes[j] = hashes[i]
 		}
+		c := newContainer(s.schema, cols, batchHashes, e)
 		s.mu.Lock()
 		s.ros = append(s.ros, c)
 		s.mu.Unlock()

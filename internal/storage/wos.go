@@ -26,11 +26,22 @@ func NewWOS() *WOS { return &WOS{} }
 // Append adds rows stamped with the given epoch or provisional tag, hashing
 // them on the segmentation columns.
 func (w *WOS) Append(rows []types.Row, segIdx []int, tag uint64) {
+	owned := make([]types.Row, len(rows))
+	hashes := make([]uint32, len(rows))
+	for i, r := range rows {
+		owned[i] = r.Clone()
+		hashes[i] = vhash.HashRow(r, segIdx)
+	}
+	w.appendHashed(owned, hashes, tag)
+}
+
+// appendHashed adds rows the buffer may keep, with their precomputed hashes.
+func (w *WOS) appendHashed(rows []types.Row, hashes []uint32, tag uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, r := range rows {
-		w.rows = append(w.rows, r.Clone())
-		w.hashes = append(w.hashes, vhash.HashRow(r, segIdx))
+	w.rows = append(w.rows, rows...)
+	w.hashes = append(w.hashes, hashes...)
+	for range rows {
 		w.starts = append(w.starts, tag)
 		w.dels = append(w.dels, 0)
 	}

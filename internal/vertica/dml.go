@@ -43,16 +43,6 @@ func coerce(v types.Value, t types.Type) (types.Value, error) {
 	return types.Value{}, fmt.Errorf("vertica: cannot coerce %v value %s to %v", v.T, v, t)
 }
 
-// routeRows groups rows by home node according to the table's segmentation.
-func routeRows(tbl *catalog.Table, rows []types.Row) [][]types.Row {
-	buckets := make([][]types.Row, tbl.NumNodes())
-	for _, r := range rows {
-		home := tbl.HomeNode(tbl.RowHash(r))
-		buckets[home] = append(buckets[home], r)
-	}
-	return buckets
-}
-
 // lockTable acquires the table lock in the given mode and then re-resolves
 // the table from the catalog. The re-resolution matters: a concurrent
 // rebalance (or DDL) holds the EXCLUSIVE lock while swapping the table's
@@ -107,54 +97,63 @@ func (s *Session) writableCheck(tbl *catalog.Table) error {
 	return nil
 }
 
-// writeRows inserts rows into a table under tx: segmented tables route each
-// row to its segment's node (plus buddy replicas); unsegmented tables
-// replicate to every node. direct selects the ROS bulk path over the WOS.
-// Stores hosted on DOWN (or removed) nodes are skipped — their writes land
-// on the surviving replicas and are reconciled when the node recovers — but
-// the statement fails up front if any replica set is entirely unwritable.
-// It returns the bytes shuffled from the connected node to each other node,
+// writeColumns inserts the n rows held in cols (dense vectors in table
+// schema order) into a table under tx: segmented tables route each row to
+// its segment's node (plus buddy replicas); unsegmented tables replicate to
+// every node. direct selects the ROS bulk path over the WOS. Stores hosted
+// on DOWN (or removed) nodes are skipped — their writes land on the
+// surviving replicas and are reconciled when the node recovers — but the
+// statement fails up front if any replica set is entirely unwritable. It
+// returns the bytes shuffled from the connected node to each other node,
 // for resource accounting.
-func (s *Session) writeRows(tx *txn.Txn, tbl *catalog.Table, rows []types.Row, direct bool) (map[[2]string]float64, error) {
+func (s *Session) writeColumns(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int, direct bool) (map[[2]string]float64, error) {
 	if err := s.writableCheck(tbl); err != nil {
 		return nil, err
 	}
 	route := make(map[[2]string]float64)
-	err := forEachTarget(tbl, rows, func(st *storage.Store, nodeID int, batch []types.Row) error {
+	err := forEachTarget(tbl, cols, n, func(st *storage.Store, nodeID int, part []storage.Column, hashes []uint32) {
 		if !s.cluster.nodeAcceptsWrites(nodeID) {
 			// The skipped store now lags the committed state; recovery must
 			// rebuild it from a replica before its node serves reads again.
 			st.MarkStale()
-			return nil
+			return
 		}
 		if direct {
-			if err := st.AppendROS(batch, tx.Tag()); err != nil {
-				return err
-			}
+			st.AppendROSColumns(part, hashes, tx.Tag())
 		} else {
-			st.AppendWOS(batch, tx.Tag())
+			st.AppendWOSColumns(part, hashes, tx.Tag())
 		}
 		tx.NoteInsert(st)
 		if nodeID != s.node.ID {
-			route[[2]string{s.node.Name, sim.VName(nodeID)}] += rowsWireSize(batch)
+			route[[2]string{s.node.Name, sim.VName(nodeID)}] += colsWireSize(part)
 		}
-		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := s.logInsert(tx, tbl, rows, direct); err != nil {
+	if err := s.logInsert(tx, tbl, cols, n, direct); err != nil {
 		return nil, err
 	}
 	return route, nil
 }
 
-func rowsWireSize(rows []types.Row) float64 {
-	n := 0.0
-	for _, r := range rows {
-		n += float64(types.WireSize(r))
+// colsWireSize is types.WireSize summed over the rows held in cols.
+func colsWireSize(cols []storage.Column) float64 {
+	n := 0
+	for _, c := range cols {
+		switch c.Type() {
+		case types.Int64, types.Float64:
+			n += 8 * c.Len()
+		case types.Bool:
+			n += c.Len()
+		case types.Varchar:
+			n += 4 * c.Len()
+			for i := 0; i < c.Len(); i++ {
+				n += len(c.Get(i).S)
+			}
+		}
 	}
-	return n
+	return float64(n)
 }
 
 // executeInsert runs INSERT INTO ... VALUES, the trickle-load path the JDBC
@@ -209,15 +208,19 @@ func (s *Session) executeInsert(st *vsql.Insert) (*Result, error) {
 		rows = append(rows, row)
 	}
 
+	cols, err := storage.ColumnsFromRows(rows, schema)
+	if err != nil {
+		return nil, err
+	}
 	tx, auto := s.txnForWrite()
-	tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
+	tbl, err = s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
 	if err != nil {
 		if auto {
 			tx.Abort()
 		}
 		return nil, err
 	}
-	route, err := s.writeRows(tx, tbl, rows, false)
+	route, err := s.writeColumns(tx, tbl, cols, len(rows), false)
 	if err != nil {
 		if auto {
 			tx.Abort()
@@ -228,7 +231,7 @@ func (s *Session) executeInsert(st *vsql.Insert) (*Result, error) {
 		Type:       sim.LoadFlowEv,
 		CNode:      s.peer,
 		VNode:      s.node.Name,
-		WireBytes:  rowsWireSize(rows) + float64(32*len(rows)), // statement framing
+		WireBytes:  colsWireSize(cols) + float64(32*len(rows)), // statement framing
 		EncodeKind: sim.CPUCSVFormat,
 		ParseKind:  sim.CPUCSVParse,
 		InsertRows: float64(len(rows)),
@@ -250,23 +253,14 @@ func (s *Session) executeInsertSelect(st *vsql.Insert, tbl *catalog.Table) (*Res
 	if err != nil {
 		return nil, err
 	}
-	res.rowForm()
 	schema := tbl.Def.Schema
 	if len(res.Schema.Cols) != schema.NumCols() {
 		return nil, fmt.Errorf("vertica: INSERT ... SELECT produces %d columns, table has %d",
 			len(res.Schema.Cols), schema.NumCols())
 	}
-	rows := make([]types.Row, len(res.Rows))
-	for i, r := range res.Rows {
-		row := make(types.Row, len(r))
-		for j, v := range r {
-			cv, err := coerce(v, schema.Cols[j].T)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = cv
-		}
-		rows[i] = row
+	cols, n, err := insertColumns(res, schema)
+	if err != nil {
+		return nil, err
 	}
 	tx, auto := s.txnForWrite()
 	tbl, err = s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
@@ -276,13 +270,61 @@ func (s *Session) executeInsertSelect(st *vsql.Insert, tbl *catalog.Table) (*Res
 		}
 		return nil, err
 	}
-	if _, err := s.writeRows(tx, tbl, rows, true); err != nil {
+	if _, err := s.writeColumns(tx, tbl, cols, n, true); err != nil {
 		if auto {
 			tx.Abort()
 		}
 		return nil, err
 	}
-	return s.finishWrite(tx, auto, &Result{RowsAffected: int64(len(rows))})
+	return s.finishWrite(tx, auto, &Result{RowsAffected: int64(n)})
+}
+
+// sameTypes reports whether two schemas have the same column types, in
+// order, whatever the names.
+func sameTypes(a, b types.Schema) bool {
+	if len(a.Cols) != len(b.Cols) {
+		return false
+	}
+	for i := range a.Cols {
+		if a.Cols[i].T != b.Cols[i].T {
+			return false
+		}
+	}
+	return true
+}
+
+// insertColumns turns a SELECT result into dense columns of the target
+// schema. A column-form result whose types match is gathered straight from
+// the scan's vectors; anything else is boxed and coerced row by row.
+func insertColumns(res *Result, schema types.Schema) ([]storage.Column, int, error) {
+	if res.Batches != nil && sameTypes(res.Schema, schema) {
+		builders := storage.NewBuilders(schema)
+		n := 0
+		for _, b := range res.Batches {
+			for j, c := range b.Cols {
+				if err := builders[j].AppendSelected(c, b.Sel); err != nil {
+					return nil, 0, err
+				}
+			}
+			n += b.Len()
+		}
+		return storage.BuildAll(builders), n, nil
+	}
+	res.rowForm()
+	rows := make([]types.Row, len(res.Rows))
+	for i, r := range res.Rows {
+		row := make(types.Row, len(r))
+		for j, v := range r {
+			cv, err := coerce(v, schema.Cols[j].T)
+			if err != nil {
+				return nil, 0, err
+			}
+			row[j] = cv
+		}
+		rows[i] = row
+	}
+	cols, err := storage.ColumnsFromRows(rows, schema)
+	return cols, len(rows), err
 }
 
 // executeUpdate runs UPDATE under an EXCLUSIVE table lock: matching visible
@@ -365,7 +407,11 @@ func (s *Session) executeUpdate(st *vsql.Update) (*Result, error) {
 			}
 			return nil, err
 		}
-		if _, err := s.writeRows(tx, tbl, updated, false); err != nil {
+		cols, err := storage.ColumnsFromRows(updated, schema)
+		if err == nil {
+			_, err = s.writeColumns(tx, tbl, cols, len(updated), false)
+		}
+		if err != nil {
 			if auto {
 				tx.Abort()
 			}
@@ -546,13 +592,15 @@ func (s *Session) copyStream(cp *vsql.Copy, counted *countingReader) (*Result, e
 		return nil, fmt.Errorf("%w: node %d went down", ErrNodeDown, s.node.ID)
 	}
 	s.record(sim.Event{Type: sim.FixedEv, FixedKind: sim.FixedQuery})
-	var rows []types.Row
-	var rejected []string
 	tbl, ok := s.cluster.cat.Table(cp.Table)
 	if !ok {
 		return nil, fmt.Errorf("vertica: table %q does not exist", cp.Table)
 	}
 	schema := tbl.Def.Schema
+	builders := storage.NewBuilders(schema)
+	n := 0
+	var rejected []string
+	var rejectedCount int64
 
 	switch cp.Format {
 	case vsql.CopyAvro:
@@ -565,14 +613,14 @@ func (s *Session) copyStream(cp *vsql.Copy, counted *countingReader) (*Result, e
 				rd.Schema().ToTypes(), schema)
 		}
 		for {
-			row, err := rd.Next()
+			k, err := rd.ReadBlock(builders)
 			if err == io.EOF {
 				break
 			}
 			if err != nil {
 				return nil, fmt.Errorf("vertica: COPY: %w", err)
 			}
-			rows = append(rows, row)
+			n += k
 		}
 	case vsql.CopyCSV:
 		sc := bufio.NewScanner(counted)
@@ -587,10 +635,15 @@ func (s *Session) copyStream(cp *vsql.Copy, counted *countingReader) (*Result, e
 				if len(rejected) < 10 {
 					rejected = append(rejected, fmt.Sprintf("%s: %v", truncate(line, 80), err))
 				}
-				rows = append(rows, nil) // placeholder to count rejects below
+				rejectedCount++
 				continue
 			}
-			rows = append(rows, row)
+			for j, v := range row {
+				if err := builders[j].Append(v); err != nil {
+					return nil, fmt.Errorf("vertica: COPY: %w", err)
+				}
+			}
+			n++
 		}
 		if err := sc.Err(); err != nil {
 			return nil, fmt.Errorf("vertica: COPY: %w", err)
@@ -598,21 +651,11 @@ func (s *Session) copyStream(cp *vsql.Copy, counted *countingReader) (*Result, e
 	default:
 		return nil, fmt.Errorf("vertica: COPY: unsupported format %q", cp.Format)
 	}
-
-	// Separate accepted rows from rejects.
-	accepted := rows[:0]
-	var rejectedCount int64
-	for _, r := range rows {
-		if r == nil {
-			rejectedCount++
-			continue
-		}
-		accepted = append(accepted, r)
-	}
 	if rejectedCount > cp.RejectMax {
 		return nil, fmt.Errorf("vertica: COPY: %d rows rejected exceeds REJECTMAX %d (sample: %v)",
 			rejectedCount, cp.RejectMax, rejected)
 	}
+	cols := storage.BuildAll(builders)
 
 	tx, auto := s.txnForWrite()
 	tbl, err := s.lockTable(tx, tbl.Def.Name, txn.LockInsert)
@@ -622,7 +665,7 @@ func (s *Session) copyStream(cp *vsql.Copy, counted *countingReader) (*Result, e
 		}
 		return nil, err
 	}
-	route, err := s.writeRows(tx, tbl, accepted, cp.Direct)
+	route, err := s.writeColumns(tx, tbl, cols, n, cp.Direct)
 	if err != nil {
 		if auto {
 			tx.Abort()
@@ -640,11 +683,11 @@ func (s *Session) copyStream(cp *vsql.Copy, counted *countingReader) (*Result, e
 		WireBytes:  float64(counted.n),
 		EncodeKind: encodeKind,
 		ParseKind:  parseKind,
-		ResultRows: float64(len(accepted)),
+		ResultRows: float64(n),
 		Route:      route,
 		Local:      s.copyLocal,
 	})
-	cr := &CopyResult{Loaded: int64(len(accepted)), Rejected: rejectedCount, RejectedSample: rejected}
+	cr := &CopyResult{Loaded: int64(n), Rejected: rejectedCount, RejectedSample: rejected}
 	return s.finishWrite(tx, auto, &Result{RowsAffected: cr.Loaded, Copy: cr})
 }
 

@@ -147,14 +147,14 @@ func (c *Cluster) walSync() error {
 	return l.Sync()
 }
 
-// logInsert records the rows an INSERT/COPY wrote under the transaction's
-// provisional tag. Routing is deterministic (segmentation hash), so one
-// logical record regenerates every store's writes on replay.
-func (s *Session) logInsert(tx *txn.Txn, tbl *catalog.Table, rows []types.Row, direct bool) error {
-	if !s.cluster.durable() || len(rows) == 0 {
+// logInsert records the n rows (held in cols) an INSERT/COPY wrote under
+// the transaction's provisional tag. Routing is deterministic (segmentation
+// hash), so one logical record regenerates every store's writes on replay.
+func (s *Session) logInsert(tx *txn.Txn, tbl *catalog.Table, cols []storage.Column, n int, direct bool) error {
+	if !s.cluster.durable() || n == 0 {
 		return nil
 	}
-	payload, err := storage.EncodeRows(tbl.Def.Schema, rows)
+	payload, err := storage.EncodeColumns(tbl.Def.Schema, cols, n)
 	if err != nil {
 		return err
 	}
@@ -197,34 +197,50 @@ func (c *Cluster) logDDL(op byte, p ddlPayload) error {
 	return c.walSync()
 }
 
-// forEachTarget visits every store that must receive rows of tbl, with the
-// node the store lives on and that store's share of the rows: unsegmented
-// tables replicate everywhere; segmented tables route each row to its
-// segment's node plus the buddy replicas. This single routing function is
-// shared by the write path and WAL replay, so recovery reproduces placement
-// exactly.
-func forEachTarget(tbl *catalog.Table, rows []types.Row, visit func(st *storage.Store, nodeID int, batch []types.Row) error) error {
+// forEachTarget routes the n rows held in cols (dense vectors in table
+// schema order) to every store that must receive them: unsegmented tables
+// replicate everywhere; segmented tables send each row to its segment's
+// node plus the buddy replicas. Each row is hashed once, from the columns;
+// visit gets the store, the node it lives on, and that store's share of the
+// rows with their hashes. Shares are gathered column by column without
+// boxing and are shared by a segment's replicas, so visit must not modify
+// them. This single routing function serves the write path and WAL replay,
+// so recovery reproduces placement exactly.
+func forEachTarget(tbl *catalog.Table, cols []storage.Column, n int, visit func(st *storage.Store, nodeID int, part []storage.Column, hashes []uint32)) error {
+	hashes := storage.HashColumns(cols, tbl.SegIdx, n)
 	if !tbl.Def.Segmented {
 		for i, st := range tbl.Stores {
-			if err := visit(st, tbl.Ring[i], rows); err != nil {
-				return err
-			}
+			visit(st, tbl.Ring[i], cols, hashes)
 		}
 		return nil
 	}
-	buckets := routeRows(tbl, rows)
-	for home, batch := range buckets {
-		if len(batch) == 0 {
+	sels := make([][]int32, tbl.NumNodes())
+	for i, h := range hashes {
+		home := tbl.HomeNode(h)
+		sels[home] = append(sels[home], int32(i))
+	}
+	for home, sel := range sels {
+		if len(sel) == 0 {
 			continue
 		}
-		if err := visit(tbl.Stores[home], tbl.Ring[home], batch); err != nil {
-			return err
+		part, partHashes := cols, hashes
+		if len(sel) < n {
+			builders := storage.NewBuilders(tbl.Def.Schema)
+			for j, c := range cols {
+				if err := builders[j].AppendSelected(c, sel); err != nil {
+					return err
+				}
+			}
+			part = storage.BuildAll(builders)
+			partHashes = make([]uint32, len(sel))
+			for k, i := range sel {
+				partHashes[k] = hashes[i]
+			}
 		}
+		visit(tbl.Stores[home], tbl.Ring[home], part, partHashes)
 		for r := range tbl.Buddies {
 			host := (home + r + 1) % tbl.NumNodes()
-			if err := visit(tbl.Buddies[r][host], tbl.Ring[host], batch); err != nil {
-				return err
-			}
+			visit(tbl.Buddies[r][host], tbl.Ring[host], part, partHashes)
 		}
 	}
 	return nil
@@ -589,21 +605,21 @@ func (c *Cluster) replay(records []wal.Record) (replayed, dropped int, err error
 			if !ok {
 				return replayed, dropped, fmt.Errorf("vertica: replay: insert into unknown table %q", rec.Table)
 			}
-			_, rows, derr := storage.DecodeRows(rec.Rows)
+			payload, cols, n, derr := storage.DecodeColumns(rec.Rows)
+			if derr == nil && !sameTypes(payload, tbl.Def.Schema) {
+				derr = fmt.Errorf("insert record for %q does not match its schema", rec.Table)
+			}
 			if derr != nil {
 				return replayed, dropped, fmt.Errorf("vertica: replay: %w", derr)
 			}
 			e := effects(rec.Tag)
-			werr := forEachTarget(tbl, rows, func(st *storage.Store, _ int, batch []types.Row) error {
+			werr := forEachTarget(tbl, cols, n, func(st *storage.Store, _ int, part []storage.Column, hashes []uint32) {
 				if rec.Direct {
-					if aerr := st.AppendROS(batch, rec.Tag); aerr != nil {
-						return aerr
-					}
+					st.AppendROSColumns(part, hashes, rec.Tag)
 				} else {
-					st.AppendWOS(batch, rec.Tag)
+					st.AppendWOSColumns(part, hashes, rec.Tag)
 				}
 				e.inserted[st] = true
-				return nil
 			})
 			if werr != nil {
 				return replayed, dropped, werr

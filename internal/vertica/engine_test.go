@@ -375,6 +375,45 @@ func TestCopyAvroSchemaMismatch(t *testing.T) {
 	}
 }
 
+// TestCopyAvroTruncated is the regression test for truncated Avro loads: a
+// 4-row stream (2-row blocks) missing its last sync marker, or cut between
+// the last block's header and its data, used to load the first block's 2
+// rows and report success. Both must now fail and load nothing.
+func TestCopyAvroTruncated(t *testing.T) {
+	schema := avro.Schema{Name: "row", Fields: []avro.Field{{Name: "id", Type: types.Int64}}}
+	stream := func(rows int) []byte {
+		var buf bytes.Buffer
+		w, err := avro.NewWriter(&buf, schema, avro.CodecNull, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if err := w.Append(types.Row{types.IntValue(int64(i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	full, second := stream(4), len(stream(2))
+	for name, data := range map[string][]byte{
+		"missing last sync":       full[:len(full)-16],
+		"between header and data": full[:second+2],
+	} {
+		c := testCluster(t, 2)
+		s := sess(t, c, 0)
+		s.MustExecute("CREATE TABLE t (id INTEGER)")
+		if _, err := s.CopyFrom("COPY t FROM STDIN FORMAT AVRO DIRECT", bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: truncated stream loaded without error", name)
+		}
+		if got := mustI(t, s.MustExecute("SELECT COUNT(*) FROM t")); got != 0 {
+			t.Errorf("%s: %d rows loaded from a truncated stream", name, got)
+		}
+	}
+}
+
 func TestViewsAndAggregates(t *testing.T) {
 	c := testCluster(t, 2)
 	s := sess(t, c, 0)

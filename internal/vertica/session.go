@@ -70,10 +70,7 @@ func (r *Result) columnForm() error {
 		r.Batches, r.Rows = []*storage.Batch{}, nil
 		return nil
 	}
-	builders := make([]*storage.Builder, r.Schema.NumCols())
-	for j, c := range r.Schema.Cols {
-		builders[j] = storage.NewBuilder(c.T)
-	}
+	builders := storage.NewBuilders(r.Schema)
 	for _, row := range r.Rows {
 		if len(row) != len(builders) {
 			return fmt.Errorf("vertica: result row width %d != schema width %d", len(row), len(builders))
@@ -84,10 +81,7 @@ func (r *Result) columnForm() error {
 			}
 		}
 	}
-	cols := make([]storage.Column, len(builders))
-	for j, b := range builders {
-		cols[j] = b.Build()
-	}
+	cols := storage.BuildAll(builders)
 	sel := make([]int32, len(r.Rows))
 	for i := range sel {
 		sel[i] = int32(i)

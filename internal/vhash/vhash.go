@@ -10,7 +10,6 @@
 package vhash
 
 import (
-	"encoding/binary"
 	"math"
 
 	"vsfabric/internal/types"
@@ -26,49 +25,81 @@ const RingSize uint64 = 1 << 32
 // value, folded to 32 bits. Every component (engine row routing, connector
 // range queries, the SQL HASH() builtin) must agree on this function.
 func Hash(vals ...types.Value) uint32 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var h uint64 = offset64
-	var buf [8]byte
-	mix := func(b []byte) {
-		for _, c := range b {
-			h ^= uint64(c)
-			h *= prime64
-		}
-	}
+	h := Offset
 	for _, v := range vals {
-		if v.Null {
-			mix([]byte{0xff})
-			continue
-		}
-		switch v.T {
-		case types.Int64:
-			binary.LittleEndian.PutUint64(buf[:], uint64(v.I))
-			mix(buf[:])
-		case types.Float64:
-			// Hash integral floats identically to the equal integer so that
-			// re-segmentation across type changes stays stable.
-			if f := v.F; f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
-				binary.LittleEndian.PutUint64(buf[:], uint64(int64(f)))
-			} else {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			}
-			mix(buf[:])
-		case types.Varchar:
-			mix([]byte(v.S))
-			mix([]byte{0})
-		case types.Bool:
-			if v.B {
-				mix([]byte{1})
-			} else {
-				mix([]byte{2})
-			}
-		}
+		h = MixValue(h, v)
 	}
-	return uint32(h ^ (h >> 32))
+	return Fold(h)
 }
+
+// Offset is the FNV-1a state before any value is mixed in. Hash is
+// Fold(MixValue(...MixValue(Offset, v0)..., vn)); the Mix functions let a
+// column-at-a-time caller keep one state per row and reach the same hash
+// without boxing values.
+const Offset uint64 = 14695981039346656037
+
+const prime64 = 1099511628211
+
+func mixByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * prime64 }
+
+func mix8(h, u uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = mixByte(h, byte(u>>(8*i)))
+	}
+	return h
+}
+
+// MixNull mixes a NULL of any type.
+func MixNull(h uint64) uint64 { return mixByte(h, 0xff) }
+
+// MixInt mixes a non-NULL INTEGER.
+func MixInt(h uint64, v int64) uint64 { return mix8(h, uint64(v)) }
+
+// MixFloat mixes a non-NULL FLOAT. Integral floats hash identically to the
+// equal integer so that re-segmentation across type changes stays stable.
+func MixFloat(h uint64, f float64) uint64 {
+	if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		return mix8(h, uint64(int64(f)))
+	}
+	return mix8(h, math.Float64bits(f))
+}
+
+// MixString mixes a non-NULL VARCHAR: its bytes, then a terminator.
+func MixString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = mixByte(h, s[i])
+	}
+	return mixByte(h, 0)
+}
+
+// MixBool mixes a non-NULL BOOLEAN.
+func MixBool(h uint64, b bool) uint64 {
+	if b {
+		return mixByte(h, 1)
+	}
+	return mixByte(h, 2)
+}
+
+// MixValue mixes one value of any type.
+func MixValue(h uint64, v types.Value) uint64 {
+	if v.Null {
+		return MixNull(h)
+	}
+	switch v.T {
+	case types.Int64:
+		return MixInt(h, v.I)
+	case types.Float64:
+		return MixFloat(h, v.F)
+	case types.Varchar:
+		return MixString(h, v.S)
+	case types.Bool:
+		return MixBool(h, v.B)
+	}
+	return h
+}
+
+// Fold reduces a mixed state to the 32-bit ring position.
+func Fold(h uint64) uint32 { return uint32(h ^ (h >> 32)) }
 
 // HashRow hashes the row's values at the given column indexes. An empty index
 // list hashes the whole row (the "synthetic hash" used for views and

@@ -1,6 +1,7 @@
 package vhash
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -75,6 +76,25 @@ func TestHashDeterministic(t *testing.T) {
 	}
 	if Hash(types.IntValue(7)) == Hash(types.IntValue(8)) {
 		t.Error("distinct ints should (almost surely) hash differently")
+	}
+}
+
+// TestHashPinned pins Hash to fixed ring positions: stored hashes, catalog
+// segment ranges and the connector's range predicates all depend on it, so
+// any change to the encoding must be deliberate.
+func TestHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		vals []types.Value
+		want uint32
+	}{
+		{[]types.Value{types.IntValue(42)}, 0xc8b30784},
+		{[]types.Value{types.FloatValue(2.5), types.StringValue("héllo")}, 0xe2b0e273},
+		{[]types.Value{types.NullValue(types.Int64), types.BoolValue(true), types.BoolValue(false)}, 0x1d3d5436},
+		{[]types.Value{types.FloatValue(-3), types.StringValue(""), types.FloatValue(math.Inf(1))}, 0x2cfc2bfa},
+	} {
+		if got := Hash(c.vals...); got != c.want {
+			t.Errorf("Hash(%v) = %#08x, want %#08x", c.vals, got, c.want)
+		}
 	}
 }
 
