@@ -47,7 +47,7 @@ rebalance-test:
 # concurrent-connection suites, the mid-COPY desync and client-disconnect
 # regressions, the result-payload decoder's malformed-input regressions,
 # the Avro reader's truncation and oversized-block regressions plus its
-# fuzzer, the columnar write path's equivalence with the row-at-a-time
+# fuzzer, the CSV COPY parser's fuzzer, the columnar write path's equivalence with the row-at-a-time
 # oracle (hashes, placement, WAL payloads, replay, INSERT ... SELECT), and
 # the resource-pool admission suites — all under the race detector.
 wire-test:
@@ -60,6 +60,7 @@ wire-test:
 	$(GO) test -race -run xxx -fuzz FuzzBinErrorDecode -fuzztime 5s ./internal/server/
 	$(GO) test -race -run xxx -fuzz FuzzDecodeColumns -fuzztime 5s ./internal/storage/
 	$(GO) test -race -run xxx -fuzz FuzzAvroReader -fuzztime 5s ./internal/avro/
+	$(GO) test -race -run xxx -fuzz FuzzParseCSV -fuzztime 5s ./internal/types/
 	$(GO) test -race ./internal/pool/
 	$(GO) test -race -run 'ResourcePool|SetResourcePool|Admission|PoolDDL' ./internal/vertica/
 
@@ -97,19 +98,22 @@ e2e-smoke:
 	bash perfbench/run.sh --workload s2v-bulk --seconds 2 --trace 0
 	bash perfbench/run.sh --workload short-jobs --seconds 2 --trace 0
 
-# Microbenchmarks plus the throughput gates: BENCH_scan.json,
+# Microbenchmarks plus the throughput numbers: BENCH_scan.json,
 # BENCH_agg.json, and BENCH_join.json record ns/op and rows/s for the
-# vectorized pipeline vs the row-at-a-time reference (machine-readable,
-# tracked by CI).
+# engine's vectorized pipeline (machine-readable, tracked by CI). The
+# go test benchmarks also time the test suite's row-at-a-time reference
+# (BenchmarkScanRowAtATime, BenchmarkCountRowAtATime) for comparison.
 bench:
 	$(GO) test -bench=. -benchmem ./internal/bench/
 	$(GO) test -run xxx -bench 'BenchmarkScan|BenchmarkCount' -benchtime 5x ./internal/vertica/
 	$(GO) run ./cmd/scanbench -out BENCH_scan.json
 	$(GO) run ./cmd/aggbench -out-agg BENCH_agg.json -out-join BENCH_join.json
 
-# Small-scale aggregation/join bench that diffs the vectorized results
-# against the row-at-a-time reference cell by cell and exits non-zero on any
-# shape drift (row counts, values, NULLs) or empty result. Timings at this
-# scale are noise; the diff is the CI gate.
+# Aggregation/join bench gate: TestStarWorkloadMatchesReference diffs every
+# query cmd/aggbench times, over the same star-schema data at 50k fact rows,
+# against the row-at-a-time reference cell by cell and fails on any drift
+# (row count, schema width, values, NULLs) or an empty result. Then a
+# small-scale aggbench run; its timings at this scale are noise, not a gate.
 bench-smoke:
+	$(GO) test -run 'TestStarWorkloadMatchesReference' ./internal/vertica/
 	$(GO) run ./cmd/aggbench -smoke -out-agg BENCH_agg.json -out-join BENCH_join.json

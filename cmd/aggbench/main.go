@@ -1,18 +1,18 @@
-// Command aggbench measures the vectorized hash-aggregation and hash-join
-// pipeline against the retained row-at-a-time reference
-// (Config.RowAtATimeScans) and writes the numbers as machine-readable JSON
-// (BENCH_agg.json, BENCH_join.json) so CI can track the perf trajectory.
+// Command aggbench times the vectorized hash-aggregation and hash-join
+// pipeline on the star-schema workload (internal/workload) and writes the
+// numbers as machine-readable JSON (BENCH_agg.json, BENCH_join.json) so the
+// perf trajectory can be tracked.
 //
 // Usage:
 //
 //	aggbench                        # 1M fact rows, 4 nodes
 //	aggbench -rows 200000 -iters 5
-//	aggbench -smoke                 # small scale; fail on result-shape drift
+//	aggbench -smoke                 # small scale (50k rows, 3 iterations)
 //
-// In -smoke mode every benchmark query is first executed on both engine
-// configurations and the result sets diffed cell by cell; any mismatch (or an
-// unexpectedly empty result) exits non-zero before any timing runs. That is
-// the CI regression gate: shapes are deterministic, timings are not.
+// Result correctness is not checked here: the engine's test
+// TestStarWorkloadMatchesReference (make bench-smoke) diffs these queries,
+// over the same data shape, against the row-at-a-time reference cell by
+// cell.
 package main
 
 import (
@@ -23,11 +23,11 @@ import (
 	"strings"
 	"time"
 
-	"vsfabric/internal/types"
 	"vsfabric/internal/vertica"
+	"vsfabric/internal/workload"
 )
 
-// Measurement is one timed query configuration.
+// Measurement is one timed query.
 type Measurement struct {
 	Name     string  `json:"name"`
 	Query    string  `json:"query"`
@@ -36,34 +36,15 @@ type Measurement struct {
 	RowsPerS float64 `json:"rows_per_s"`
 }
 
-// Results is the BENCH_agg.json / BENCH_join.json document: pairs of
-// (vectorized, row-at-a-time) measurements plus the headline speedup.
+// Results is the BENCH_agg.json / BENCH_join.json document.
 type Results struct {
-	Rows     int           `json:"rows"`
-	Nodes    int           `json:"nodes"`
-	Queries  []Measurement `json:"queries"`
-	SpeedupX float64       `json:"speedup_x"` // vectorized vs reference, first query pair
+	Rows    int           `json:"rows"`
+	Nodes   int           `json:"nodes"`
+	Queries []Measurement `json:"queries"`
 }
 
-// benchCase is one query timed under both engine configurations.
-type benchCase struct {
-	name  string
-	query string
-}
-
-var aggCases = []benchCase{
-	{"group_by", "SELECT grp, COUNT(*), SUM(val), MIN(val), MAX(val) FROM fact GROUP BY grp"},
-	{"global_agg", "SELECT COUNT(*), SUM(val), AVG(val) FROM fact"},
-	{"filtered_group_by", "SELECT grp, SUM(val) FROM fact WHERE grp < 10 GROUP BY grp"},
-}
-
-var joinCases = []benchCase{
-	{"join2", "SELECT COUNT(*) FROM fact JOIN dim ON fact.cid = dim.cid"},
-	{"join3", "SELECT COUNT(*) FROM fact JOIN dim ON fact.cid = dim.cid JOIN tags ON fact.cid = tags.cid"},
-}
-
-func buildSession(rows, nodes int, rowAtATime bool) (*vertica.Session, error) {
-	c, err := vertica.NewCluster(vertica.Config{Nodes: nodes, RowAtATimeScans: rowAtATime})
+func buildSession(rows, nodes int) (*vertica.Session, error) {
+	c, err := vertica.NewCluster(vertica.Config{Nodes: nodes})
 	if err != nil {
 		return nil, err
 	}
@@ -72,36 +53,16 @@ func buildSession(rows, nodes int, rowAtATime bool) (*vertica.Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	ddl := []string{
-		"CREATE TABLE fact (id INTEGER, grp INTEGER, cid INTEGER, val FLOAT) SEGMENTED BY HASH(id)",
-		"CREATE TABLE dim (cid INTEGER, name VARCHAR) SEGMENTED BY HASH(cid)",
-		"CREATE TABLE tags (cid INTEGER, tag VARCHAR) SEGMENTED BY HASH(cid)",
-	}
-	for _, q := range ddl {
+	for _, q := range workload.StarDDL {
 		if _, err := s.Execute(q); err != nil {
 			return nil, err
 		}
 	}
-	var csv strings.Builder
-	csv.Grow(rows * 20)
-	for i := 0; i < rows; i++ {
-		// 100 groups; cids land in [0, 1000) but dim only covers [0, 10), so
-		// the join is ~1% selective — the shape a zone-mapped star join sees.
-		fmt.Fprintf(&csv, "%d,%d,%d,%d.5\n", i, i%100, i%1000, i%997)
-	}
-	if _, err := s.CopyFrom("COPY fact FROM STDIN FORMAT CSV DIRECT", strings.NewReader(csv.String())); err != nil {
-		return nil, err
-	}
-	var dim, tags strings.Builder
-	for i := 0; i < 10; i++ {
-		fmt.Fprintf(&dim, "%d,name%d\n", i, i)
-		fmt.Fprintf(&tags, "%d,tagA\n%d,tagB\n", i, i)
-	}
-	if _, err := s.CopyFrom("COPY dim FROM STDIN FORMAT CSV DIRECT", strings.NewReader(dim.String())); err != nil {
-		return nil, err
-	}
-	if _, err := s.CopyFrom("COPY tags FROM STDIN FORMAT CSV DIRECT", strings.NewReader(tags.String())); err != nil {
-		return nil, err
+	fact, dim, tags := workload.StarCSV(rows)
+	for _, load := range []struct{ table, csv string }{{"fact", fact}, {"dim", dim}, {"tags", tags}} {
+		if _, err := s.CopyFrom("COPY "+load.table+" FROM STDIN FORMAT CSV DIRECT", strings.NewReader(load.csv)); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -126,70 +87,16 @@ func timeQuery(s *vertica.Session, name, q string, rows, iters int) (Measurement
 	}, nil
 }
 
-// diffResults compares two result sets cell by cell (NULL-aware) and reports
-// the first mismatch. Row order is part of the engine's contract, so no
-// sorting happens here.
-func diffResults(name string, vec, ref *vertica.Result) error {
-	if len(vec.Rows) != len(ref.Rows) {
-		return fmt.Errorf("%s: vectorized returned %d rows, reference %d", name, len(vec.Rows), len(ref.Rows))
-	}
-	if len(vec.Schema.Cols) != len(ref.Schema.Cols) {
-		return fmt.Errorf("%s: schema width %d vs %d", name, len(vec.Schema.Cols), len(ref.Schema.Cols))
-	}
-	for i := range vec.Rows {
-		for j := range vec.Rows[i] {
-			g, w := vec.Rows[i][j], ref.Rows[i][j]
-			if g.Null != w.Null || (!g.Null && types.Compare(g, w) != 0) {
-				return fmt.Errorf("%s: row %d col %d: %v vs %v", name, i, j, vec.Rows[i], ref.Rows[i])
-			}
-		}
-	}
-	return nil
-}
-
-// verifyShapes runs every case on both configurations and diffs the results.
-// Returns the per-case vectorized row counts so the caller can reject empty
-// results.
-func verifyShapes(vec, ref *vertica.Session, cases []benchCase) error {
-	for _, bc := range cases {
-		vr, err := vec.Execute(bc.query)
-		if err != nil {
-			return fmt.Errorf("%s (vectorized): %w", bc.name, err)
-		}
-		rr, err := ref.Execute(bc.query)
-		if err != nil {
-			return fmt.Errorf("%s (reference): %w", bc.name, err)
-		}
-		if err := diffResults(bc.name, vr, rr); err != nil {
-			return err
-		}
-		if len(vr.Rows) == 0 {
-			return fmt.Errorf("%s: zero-row result on the bench workload", bc.name)
-		}
-	}
-	return nil
-}
-
-// runSuite times every case under both configurations and writes one JSON
-// document. The headline speedup is the first case's pair.
-func runSuite(vec, ref *vertica.Session, cases []benchCase, rows, nodes, iters int, out string) error {
+// runSuite times every query and writes one JSON document.
+func runSuite(s *vertica.Session, queries []workload.StarQuery, rows, nodes, iters int, out string) error {
 	res := Results{Rows: rows, Nodes: nodes}
-	for _, bc := range cases {
-		mv, err := timeQuery(vec, bc.name+"_vectorized", bc.query, rows, iters)
+	for _, q := range queries {
+		m, err := timeQuery(s, q.Name, q.Query, rows, iters)
 		if err != nil {
 			return err
 		}
-		mr, err := timeQuery(ref, bc.name+"_row_at_a_time", bc.query, rows, iters)
-		if err != nil {
-			return err
-		}
-		res.Queries = append(res.Queries, mv, mr)
-		fmt.Printf("%-28s %12d ns/op %14.0f rows/s\n", mv.Name, mv.NsPerOp, mv.RowsPerS)
-		fmt.Printf("%-28s %12d ns/op %14.0f rows/s   (%.1fx)\n",
-			mr.Name, mr.NsPerOp, mr.RowsPerS, float64(mr.NsPerOp)/float64(mv.NsPerOp))
-	}
-	if res.Queries[1].NsPerOp > 0 {
-		res.SpeedupX = float64(res.Queries[1].NsPerOp) / float64(res.Queries[0].NsPerOp)
+		res.Queries = append(res.Queries, m)
+		fmt.Printf("%-20s %12d ns/op %14.0f rows/s\n", m.Name, m.NsPerOp, m.RowsPerS)
 	}
 	data, err := json.MarshalIndent(&res, "", "  ")
 	if err != nil {
@@ -198,17 +105,17 @@ func runSuite(vec, ref *vertica.Session, cases []benchCase, rows, nodes, iters i
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (headline speedup %.1fx)\n", out, res.SpeedupX)
+	fmt.Printf("wrote %s\n", out)
 	return nil
 }
 
 func run() error {
 	rows := flag.Int("rows", 1_000_000, "fact table size")
 	nodes := flag.Int("nodes", 4, "cluster size")
-	iters := flag.Int("iters", 10, "timed iterations per configuration")
+	iters := flag.Int("iters", 10, "timed iterations per query")
 	outAgg := flag.String("out-agg", "BENCH_agg.json", "aggregation results path")
 	outJoin := flag.String("out-join", "BENCH_join.json", "join results path")
-	smoke := flag.Bool("smoke", false, "small-scale run that fails on result-shape regressions")
+	smoke := flag.Bool("smoke", false, "small-scale run (50k rows, 3 iterations)")
 	flag.Parse()
 
 	if *smoke {
@@ -216,33 +123,15 @@ func run() error {
 		*iters = min(*iters, 3)
 	}
 
-	vec, err := buildSession(*rows, *nodes, false)
+	s, err := buildSession(*rows, *nodes)
 	if err != nil {
 		return err
 	}
-	defer vec.Close()
-	ref, err := buildSession(*rows, *nodes, true)
-	if err != nil {
+	defer s.Close()
+	if err := runSuite(s, workload.StarAggQueries, *rows, *nodes, *iters, *outAgg); err != nil {
 		return err
 	}
-	defer ref.Close()
-
-	// Shape verification runs in every mode; -smoke just shrinks the scale.
-	// A drift between the vectorized and reference engines invalidates the
-	// timings, so it aborts before any are taken.
-	if err := verifyShapes(vec, ref, aggCases); err != nil {
-		return err
-	}
-	if err := verifyShapes(vec, ref, joinCases); err != nil {
-		return err
-	}
-	fmt.Printf("result shapes verified: %d aggregation + %d join queries match the reference\n",
-		len(aggCases), len(joinCases))
-
-	if err := runSuite(vec, ref, aggCases, *rows, *nodes, *iters, *outAgg); err != nil {
-		return err
-	}
-	return runSuite(vec, ref, joinCases, *rows, *nodes, *iters, *outJoin)
+	return runSuite(s, workload.StarJoinQueries, *rows, *nodes, *iters, *outJoin)
 }
 
 func main() {

@@ -1,7 +1,7 @@
-// Command scanbench measures the vectorized batch scan pipeline against the
-// retained row-at-a-time reference (Config.RowAtATimeScans) on a hash-
-// segmented table, and writes the numbers as machine-readable JSON so CI can
-// track scan throughput over time.
+// Command scanbench times the vectorized batch scan pipeline (a selective
+// scan and a COUNT(*) pushdown) on a hash-segmented table, and writes the
+// numbers as machine-readable JSON so CI can track scan throughput over
+// time.
 //
 // Usage:
 //
@@ -34,10 +34,9 @@ type Measurement struct {
 
 // Results is the BENCH_scan.json document.
 type Results struct {
-	Rows     int           `json:"rows"`
-	Nodes    int           `json:"nodes"`
-	Scans    []Measurement `json:"scans"`
-	SpeedupX float64       `json:"speedup_x"` // vectorized vs row-at-a-time, selective scan
+	Rows  int           `json:"rows"`
+	Nodes int           `json:"nodes"`
+	Scans []Measurement `json:"scans"`
 	// ObsOverheadX is collector-enabled / collector-disabled time for the
 	// selective vectorized scan (only with -obs): the cost of span recording
 	// plus latency histogram updates on the query path.
@@ -50,8 +49,8 @@ type Results struct {
 	DcOverheadX float64 `json:"dc_overhead_x,omitempty"`
 }
 
-func buildSession(rows, nodes int, rowAtATime, obsOn bool, dataDir string, disableDC bool) (*vertica.Session, error) {
-	c, err := vertica.NewCluster(vertica.Config{Nodes: nodes, RowAtATimeScans: rowAtATime, DataDir: dataDir, DisableDataCollector: disableDC})
+func buildSession(rows, nodes int, obsOn bool, dataDir string, disableDC bool) (*vertica.Session, error) {
+	c, err := vertica.NewCluster(vertica.Config{Nodes: nodes, DataDir: dataDir, DisableDataCollector: disableDC})
 	if err != nil {
 		return nil, err
 	}
@@ -111,19 +110,13 @@ func run() error {
 		countAll  = "SELECT COUNT(*) FROM bench_scan"
 	)
 	res := Results{Rows: *rows, Nodes: *nodes}
-	for _, cfg := range []struct {
-		name       string
-		query      string
-		rowAtATime bool
-	}{
-		{"scan_vectorized", selective, false},
-		{"scan_row_at_a_time", selective, true},
-		{"count_vectorized", countAll, false},
-		{"count_row_at_a_time", countAll, true},
+	for _, cfg := range []struct{ name, query string }{
+		{"scan_vectorized", selective},
+		{"count_vectorized", countAll},
 	} {
-		// The headline configurations always time the observability-disabled
+		// The headline measurements always time the observability-disabled
 		// fast path; overhead is measured separately below.
-		s, err := buildSession(*rows, *nodes, cfg.rowAtATime, false, "", false)
+		s, err := buildSession(*rows, *nodes, false, "", false)
 		if err != nil {
 			return err
 		}
@@ -135,11 +128,6 @@ func run() error {
 		res.Scans = append(res.Scans, m)
 		fmt.Printf("%-22s %12d ns/op %14.0f rows/s\n", m.Name, m.NsPerOp, m.RowsPerS)
 	}
-	if res.Scans[1].NsPerOp > 0 {
-		res.SpeedupX = float64(res.Scans[1].NsPerOp) / float64(res.Scans[0].NsPerOp)
-	}
-	fmt.Printf("vectorized speedup: %.1fx\n", res.SpeedupX)
-
 	if *obsOn {
 		// Same query, same engine configuration; the only variable is whether
 		// the collector records spans and updates latency histograms.
@@ -149,7 +137,7 @@ func run() error {
 			if on {
 				name = "scan_obs_on"
 			}
-			s, err := buildSession(*rows, *nodes, false, on, "", false)
+			s, err := buildSession(*rows, *nodes, on, "", false)
 			if err != nil {
 				return err
 			}
@@ -185,7 +173,7 @@ func run() error {
 				return Measurement{}, err
 			}
 			defer os.RemoveAll(dir)
-			s, err := buildSession(*rows, *nodes, false, true, dir, disableDC)
+			s, err := buildSession(*rows, *nodes, true, dir, disableDC)
 			if err != nil {
 				return Measurement{}, err
 			}

@@ -13,9 +13,9 @@ type QueryEventType string
 // The query-event taxonomy. Each type is raised from exactly one engine
 // layer; Detail carries the specifics.
 const (
-	// EvGroupByFallback: a GROUP BY / aggregate over a base table executed on
-	// the row-at-a-time path instead of the vectorized hash-aggregation
-	// kernels (shape ineligible, or the RowAtATimeScans ablation).
+	// EvGroupByFallback: a GROUP BY / aggregate executed on the row-at-a-time
+	// path instead of the vectorized hash-aggregation kernels (a join, a view
+	// or system table, or an ineligible shape such as an expression argument).
 	EvGroupByFallback QueryEventType = "GROUP_BY_FALLBACK_ROW_PATH"
 	// EvZoneMapPruneSkipped: a scan had zone-map-prunable predicates but
 	// container pruning could not run (disabled by config, or containers

@@ -151,11 +151,27 @@ func TestColumnarResultsMatchInProcess(t *testing.T) {
 		"SELECT id, val * 2 AS v2, grp + 1 FROM t WHERE grp = 1",
 		"SELECT grp, COUNT(*) AS n, AVG(val) FROM t GROUP BY grp ORDER BY grp",
 		"SELECT id, name FROM t WHERE ok = TRUE ORDER BY id DESC LIMIT 100",
+		// Function columns are typed from their values: a string-valued
+		// builtin must not come back as a FLOAT (NaN) column.
+		"SELECT VERSION()",
+		"SELECT VERSION() AS v, LAST_EPOCH() AS e",
+		"SELECT GET_DATA_COLLECTOR_POLICY('query_requests')",
+		"SELECT SET_DATA_COLLECTOR_POLICY('query_requests', 2048, '')",
+		"SELECT id, VERSION() AS v FROM t WHERE id < -19990",
 	}
 	for _, q := range queries {
 		want, err := s.Execute(q)
 		if err != nil {
 			t.Fatalf("%s: in-process: %v", q, err)
+		}
+		// The declared column types describe the values: that is what lets
+		// the wire carry them as typed vectors unchanged.
+		for i, r := range want.Rows {
+			for j, v := range r {
+				if !v.Null && v.T != want.Schema.Cols[j].T {
+					t.Fatalf("%s row %d col %d: %v value in a %v column", q, i, j, v.T, want.Schema.Cols[j].T)
+				}
+			}
 		}
 		got, err := c.Execute(bg, q)
 		if err != nil {

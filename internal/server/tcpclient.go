@@ -102,20 +102,6 @@ func DialContext(ctx context.Context, addr string, opts ...Option) (*TCPConn, er
 	}, nil
 }
 
-// Dial opens a session against a node server with DefaultDialTimeout.
-//
-// Deprecated: use DialContext.
-func Dial(addr string) (*TCPConn, error) {
-	return DialContext(context.Background(), addr)
-}
-
-// DialTimeout opens a session with an explicit dial timeout (0 = none).
-//
-// Deprecated: use DialContext with WithDialTimeout.
-func DialTimeout(addr string, timeout time.Duration) (*TCPConn, error) {
-	return DialContext(context.Background(), addr, WithDialTimeout(timeout))
-}
-
 // SetOpTimeout bounds every subsequent frame write and response read; a
 // server that stops responding surfaces a timeout (classified transient)
 // instead of hanging the caller.

@@ -21,6 +21,15 @@ type Batch struct {
 	Sel []int32
 }
 
+// DenseSel returns the selection vector of every row of an n-row batch.
+func DenseSel(n int) []int32 {
+	sel := make([]int32, n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}
+
 // Len returns the number of selected rows.
 func (b *Batch) Len() int { return len(b.Sel) }
 
@@ -158,11 +167,7 @@ func (s *Store) ScanBatchesPruned(vis Visibility, hr vhash.Range, prune func(sta
 	if err != nil {
 		return err
 	}
-	sel := make([]int32, len(rows))
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	fn(&Batch{Schema: s.schema, Cols: cols, Hashes: hashes, Sel: sel})
+	fn(&Batch{Schema: s.schema, Cols: cols, Hashes: hashes, Sel: DenseSel(len(rows))})
 	return nil
 }
 

@@ -2,7 +2,6 @@ package vertica
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -91,19 +90,8 @@ func (s *Session) executeSelectProf(st *vsql.Select, qp *queryProfile) (*Result,
 	} else if ok {
 		return s.finishSelect(res, stats, vis.Epoch), nil
 	}
-	if hasAggregates(st) || len(st.GroupBy) > 0 {
-		// The vectorized hash-aggregation pushdown declined: this aggregate
-		// runs on the row-at-a-time reference path. Say why.
-		detail := "aggregation shape not eligible for vectorized kernels"
-		switch {
-		case s.cluster.cfg.RowAtATimeScans:
-			detail = "RowAtATimeScans ablation forces the row-at-a-time path"
-		case len(st.Joins) > 0:
-			detail = "aggregate over a join runs row-at-a-time"
-		case st.From != nil && !baseTableOnly(s, st.From):
-			detail = "aggregate over a non-base relation runs row-at-a-time"
-		}
-		s.raiseEvent(obs.EvGroupByFallback, detail, 0, 0)
+	if reason := aggFallbackReason(s, st); reason != "" {
+		s.raiseEvent(obs.EvGroupByFallback, reason, 0, 0)
 	}
 	rows, schema, err := s.sourceRows(st, vis, stats)
 	if err != nil {
@@ -153,7 +141,7 @@ func profileProject(qp *queryProfile, st *vsql.Select, rowsIn, rowsOut int, star
 // aggregates, ORDER BY, computed items, views and system tables decline to
 // the row path.
 func (s *Session) tryColumnSelect(st *vsql.Select, vis storage.Visibility, stats *scanStats, qp *queryProfile) (*Result, bool, error) {
-	if s.cluster.cfg.RowAtATimeScans || st.From == nil || len(st.Joins) > 0 || len(st.GroupBy) > 0 ||
+	if st.From == nil || len(st.Joins) > 0 || len(st.GroupBy) > 0 ||
 		len(st.OrderBy) > 0 || hasAggregates(st) || !baseTableOnly(s, st.From) {
 		return nil, false, nil
 	}
@@ -283,9 +271,6 @@ func (s *Session) tryCountPushdown(st *vsql.Select, vis storage.Visibility, stat
 // base table — the shape tryCountPushdown (and EXPLAIN) answers from
 // selection-vector popcounts.
 func countPushdownEligible(s *Session, st *vsql.Select) bool {
-	if s.cluster.cfg.RowAtATimeScans {
-		return false // ablation knob: exercise the reference path
-	}
 	if st.From == nil || len(st.Joins) > 0 || len(st.GroupBy) > 0 || len(st.Items) != 1 {
 		return false
 	}
@@ -354,145 +339,84 @@ func (s *Session) sourceRows(st *vsql.Select, vis storage.Visibility, stats *sca
 	return s.relationRows(st.From, st.Where, vis, stats, opts)
 }
 
-// joinedRows runs the planner-ordered join pipeline: each step hash-joins the
-// accumulated left side with the next relation (vectorized when the inputs
-// convert to column vectors), then the residual WHERE filters the result.
-// The WHERE clause may reference both sides, so join inputs scan unfiltered.
+// joinedRows runs the planner-ordered join pipeline over column batches.
+// Each step hash-joins the accumulated left batches with the next relation
+// and gathers the matched pairs into typed batches, which the next step
+// probes in turn. The WHERE clause may reference every side, so join inputs
+// scan unfiltered and the residual filters the joined batches; their rows
+// are boxed once, for projection.
 func (s *Session) joinedRows(st *vsql.Select, vis storage.Visibility, stats *scanStats) ([]types.Row, types.Schema, error) {
 	plan := s.planJoins(st)
 	stats.joinOrder = plan.orderString()
 	stats.estRows = plan.estOut
-	steps := plan.steps
-
-	// lref qualifies the left side's column names at the first join only;
-	// later steps see an already-qualified accumulated schema.
-	lref := st.From
-	var rows []types.Row
-	var schema types.Schema
-	// preRight carries a right side already scanned by the batch-native
-	// attempt into the general loop, so a fallback never scans it twice.
-	var preRight []types.Row
-	var preRightSchema types.Schema
-	havePre := false
-
-	// Batch-native first step: when the anchor is a base table, its columnar
-	// batches feed the typed join table directly and only matched pairs box
-	// into rows — the probe side never materializes. Ineligible shapes fall
-	// through to the materialize-then-join path below.
-	if len(steps) > 0 && !s.cluster.cfg.RowAtATimeScans && baseTableOnly(s, st.From) {
-		if tbl, ok := s.cluster.cat.Table(st.From.Name); ok {
-			step := steps[0]
-			right, rightSchema, err := s.relationRows(&step.clause.Right, nil, vis, stats, scanOpts{limit: -1})
-			if err != nil {
-				return nil, types.Schema{}, err
-			}
-			joinStart := profClock(stats.prof)
-			joined, joinedSchema, nLeft, ok, err := s.batchJoinStep(tbl, st.From, &step.clause.Right, step.clause, step.buildLeft, right, rightSchema, vis, stats)
-			if err != nil {
-				return nil, types.Schema{}, err
-			}
-			if ok {
-				stats.vectorized = true
-				buildRows := int64(len(right))
-				if step.buildLeft {
-					buildRows = nLeft
-				}
-				s.raiseJoinBuildEvent(buildRows, buildSideName(step.buildLeft), step.clause.LeftCol, step.clause.RightCol)
-				if stats.prof != nil {
-					build := "right"
-					if step.buildLeft {
-						build = "left"
-					}
-					stats.prof.add(opStat{
-						name: "join", rowsIn: nLeft + int64(len(right)), rowsOut: int64(len(joined)),
-						vecRows: nLeft + int64(len(right)), dur: time.Since(joinStart),
-						detail: fmt.Sprintf("vectorized hash join %s = %s, build %s side, batch-native probe", step.clause.LeftCol, step.clause.RightCol, build),
-					})
-				}
-				rows, schema = joined, joinedSchema
-				lref = nil
-				steps = steps[1:]
-			} else {
-				preRight, preRightSchema = right, rightSchema
-				havePre = true
-			}
-		}
-	}
-	if lref != nil {
-		var err error
-		rows, schema, err = s.relationRows(st.From, nil, vis, stats, scanOpts{limit: -1})
-		if err != nil {
-			return nil, types.Schema{}, err
-		}
+	stats.vectorized = true
+	left, schema, err := s.relationBatches(st.From, vis, stats)
+	if err != nil {
+		return nil, types.Schema{}, err
 	}
 	if stats.table == "" {
 		stats.table = st.From.Name
 	}
-	for _, step := range steps {
-		right, rightSchema := preRight, preRightSchema
-		if havePre {
-			havePre = false
-		} else {
-			var err error
-			right, rightSchema, err = s.relationRows(&step.clause.Right, nil, vis, stats, scanOpts{limit: -1})
-			if err != nil {
+	// lref qualifies the left side's column names at the first join only;
+	// later steps see an already-qualified accumulated schema.
+	lref := st.From
+	for _, step := range plan.steps {
+		right, rightSchema, err := s.relationBatches(&step.clause.Right, vis, stats)
+		if err != nil {
+			return nil, types.Schema{}, err
+		}
+		left, schema, err = s.hashJoin(left, schema, lref, right, rightSchema, step, stats)
+		if err != nil {
+			return nil, types.Schema{}, err
+		}
+		lref = nil
+	}
+	if st.Where != nil {
+		filterStart := profClock(stats.prof)
+		pred := vexec.Compile(st.Where, schema, vexec.NoHashes)
+		var fs vexec.FilterStats
+		rowsIn := batchRows(left)
+		for _, b := range left {
+			if err := pred.FilterBatchStats(b, &fs); err != nil {
 				return nil, types.Schema{}, err
 			}
 		}
-		joinStart := profClock(stats.prof)
-		joined, joinedSchema, vec, err := s.hashJoinStep(rows, schema, lref, right, rightSchema, &step.clause.Right, step.clause, step.buildLeft)
-		if err != nil {
-			return nil, types.Schema{}, err
-		}
-		if vec {
-			stats.vectorized = true
-		}
-		buildRows := int64(len(right))
-		if step.buildLeft {
-			buildRows = int64(len(rows))
-		}
-		s.raiseJoinBuildEvent(buildRows, buildSideName(step.buildLeft), step.clause.LeftCol, step.clause.RightCol)
 		if stats.prof != nil {
-			kind := "hash join"
-			if vec {
-				kind = "vectorized hash join"
-			}
-			build := "right"
-			if step.buildLeft {
-				build = "left"
-			}
-			vecRows := int64(0)
-			if vec {
-				vecRows = int64(len(rows) + len(right))
-			}
 			stats.prof.add(opStat{
-				name: "join", rowsIn: int64(len(rows) + len(right)), rowsOut: int64(len(joined)),
-				vecRows: vecRows, dur: time.Since(joinStart),
-				detail: fmt.Sprintf("%s %s = %s, build %s side", kind, step.clause.LeftCol, step.clause.RightCol, build),
+				name: "filter", rowsIn: rowsIn, rowsOut: batchRows(left),
+				vecRows: fs.KernelRows, resRows: fs.ResidualRows,
+				dur: time.Since(filterStart), detail: "post-join residual",
 			})
 		}
-		rows, schema = joined, joinedSchema
-		lref = nil
 	}
-	// Residual WHERE over the joined rows.
-	filterStart := profClock(stats.prof)
-	out := rows[:0]
-	for _, r := range rows {
-		ok, err := expr.EvalPredicate(st.Where, r, &schema)
-		if err != nil {
-			return nil, types.Schema{}, err
+	return materialize(left), schema, nil
+}
+
+// relationBatches produces one join input in column form: a base table's
+// unfiltered scan as the store hands it out, or a view's or system table's
+// rows turned into one typed batch.
+func (s *Session) relationBatches(tr *vsql.TableRef, vis storage.Visibility, stats *scanStats) ([]*storage.Batch, types.Schema, error) {
+	if baseTableOnly(s, tr) {
+		if tbl, ok := s.cluster.cat.Table(tr.Name); ok {
+			batches, _, schema, err := s.scanTable(tbl, nil, vis, stats, scanOpts{limit: -1})
+			return batches, schema, err
 		}
-		if ok {
-			out = append(out, r)
-		}
 	}
-	if stats.prof != nil && st.Where != nil {
-		stats.prof.add(opStat{
-			name: "filter", rowsIn: int64(len(rows)), rowsOut: int64(len(out)),
-			resRows: int64(len(rows)), dur: time.Since(filterStart), detail: "post-join residual",
-		})
+	rows, schema, err := s.relationRows(tr, nil, vis, stats, scanOpts{limit: -1})
+	if err != nil {
+		return nil, types.Schema{}, err
 	}
-	return out, schema, nil
+	batches, err := rowBatches(rows, schema)
+	return batches, schema, err
+}
+
+// batchRows counts the selected rows of bs.
+func batchRows(bs []*storage.Batch) int64 {
+	n := int64(0)
+	for _, b := range bs {
+		n += int64(b.Len())
+	}
+	return n
 }
 
 // buildSideName names a hash join's build side for event details.
@@ -568,9 +492,6 @@ func (s *Session) relationRows(tr *vsql.TableRef, where expr.Expr, vis storage.V
 	tbl, ok := s.cluster.cat.Table(tr.Name)
 	if !ok {
 		return nil, types.Schema{}, fmt.Errorf("vertica: relation %q does not exist", tr.Name)
-	}
-	if s.cluster.cfg.RowAtATimeScans {
-		return s.profiledRowAtATimeScan(tbl, where, vis, stats)
 	}
 	batches, _, schema, err := s.scanTable(tbl, where, vis, stats, opts)
 	if err != nil {
@@ -713,27 +634,6 @@ func (s *Session) pruneFunc(pred *vexec.Pred, res *segResult) func([]storage.Col
 	}
 }
 
-// profiledRowAtATimeScan runs the retained reference scan the
-// RowAtATimeScans ablation knob selects, adding its PROFILE row.
-func (s *Session) profiledRowAtATimeScan(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats) ([]types.Row, types.Schema, error) {
-	if stats.table == "" {
-		stats.table = tbl.Def.Name
-	}
-	scanStart := profClock(stats.prof)
-	rows, schema, err := s.scanTableRowAtATime(tbl, where, vis, stats)
-	if stats.prof != nil && err == nil {
-		total := int64(0)
-		for _, n := range stats.scanRows {
-			total += int64(n)
-		}
-		stats.prof.add(opStat{
-			name: "scan " + tbl.Def.Name, rowsIn: total, rowsOut: int64(len(rows)),
-			resRows: total, dur: time.Since(scanStart), detail: "row-at-a-time reference",
-		})
-	}
-	return rows, schema, err
-}
-
 // scanTable scans a base table under the read context on the vectorized
 // batch pipeline: hash-range conjuncts prune segments, the residual
 // predicate is compiled to typed column kernels (vexec), and segments fan
@@ -798,10 +698,7 @@ func (s *Session) scanTable(tbl *catalog.Table, where expr.Expr, vis storage.Vis
 		out = limitBatches(out, opts.limit)
 	}
 	if stats.prof != nil {
-		rowsOut := int64(0)
-		for _, b := range out {
-			rowsOut += int64(b.Len())
-		}
+		rowsOut := batchRows(out)
 		if opts.countOnly {
 			rowsOut = count
 		}
@@ -825,10 +722,10 @@ func (s *Session) scanTable(tbl *catalog.Table, where expr.Expr, vis storage.Vis
 }
 
 // materialize boxes the selected rows of bs into one types.Row each, batch
-// by batch in selection order. It is the one place a scan's output turns
-// into rows, for the operators that need them (joins, row-path aggregation,
-// ORDER BY, computed select items, views, INSERT..SELECT) and for the
-// in-process result API. Batches box in parallel over the segment-scan
+// by batch in selection order. It is the one place a scan's or a join's
+// output turns into rows, for the operators that need them (row-path
+// aggregation, ORDER BY, computed select items, views, INSERT..SELECT) and
+// for the in-process result API. Batches box in parallel over the segment-scan
 // worker pool, each into its own slots of the presized result. Zero
 // selected rows return nil.
 func materialize(bs []*storage.Batch) []types.Row {
@@ -961,69 +858,6 @@ func resolveNeedCols(schema types.Schema, needCols []string) ([]int, types.Schem
 		}
 	}
 	return idx, out
-}
-
-// scanTableRowAtATime is the retained row-at-a-time reference scan: one
-// boxed types.Value per cell, one delete-vector RLock per row, one
-// interpreted predicate evaluation per row. It is the baseline the
-// vectorized pipeline is benchmarked against (BenchmarkScanRowAtATime, the
-// vectorized-vs-interpreted property tests, and the RowAtATimeScans
-// ablation) and must keep semantics identical to scanTable.
-func (s *Session) scanTableRowAtATime(tbl *catalog.Table, where expr.Expr, vis storage.Visibility, stats *scanStats) ([]types.Row, types.Schema, error) {
-	schema := tbl.Def.Schema
-	hr, residual := extractHashRange(where, tbl)
-	var out []types.Row
-
-	appendMatches := func(store *storage.Store, homeNode int) error {
-		var scanErr error
-		nodeName := sim.VName(homeNode)
-		stats.scanRows[nodeName] += float64(store.TotalRows())
-		store.Scan(vis, hr, func(r types.Row) bool {
-			ok, err := expr.EvalPredicate(residual, r, &schema)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if ok {
-				row := r.Clone()
-				out = append(out, row)
-				if homeNode != s.node.ID {
-					stats.shuffle[[2]string{sim.VName(homeNode), s.node.Name}] += float64(types.WireSize(row))
-				}
-			}
-			return true
-		})
-		return scanErr
-	}
-
-	if !tbl.Def.Segmented {
-		// Unsegmented tables are replicated everywhere: serve entirely from
-		// the connected node's local replica (zero shuffle).
-		store, homeNode, err := s.replicaFor(tbl, s.localPos(tbl))
-		if err != nil {
-			return nil, types.Schema{}, err
-		}
-		if err := appendMatches(store, homeNode); err != nil {
-			return nil, types.Schema{}, err
-		}
-		return out, schema, nil
-	}
-
-	segs := tbl.SegmentRanges()
-	for i := range tbl.Stores {
-		// Skip segments the requested hash range cannot touch.
-		if segs[i].Lo >= hr.Hi || segs[i].Hi <= hr.Lo {
-			continue
-		}
-		store, homeNode, err := s.replicaFor(tbl, i)
-		if err != nil {
-			return nil, types.Schema{}, err
-		}
-		if err := appendMatches(store, homeNode); err != nil {
-			return nil, types.Schema{}, err
-		}
-	}
-	return out, schema, nil
 }
 
 // replicaFor returns the store serving ring position pos of the table, plus
@@ -1162,24 +996,63 @@ func hashMatchesSegmentation(h *expr.HashFn, tbl *catalog.Table) bool {
 	return true
 }
 
-// hashJoinStep performs one inner equi-join of the planner's pipeline:
-// resolve the ON columns against the two input schemas, qualify the output
-// column names (the left side only at the first step — lref is nil once the
-// left input is itself a join result), then join vectorized when both inputs
-// convert to column vectors, falling back to the boxed row join otherwise.
-// Both paths emit identical rows in identical left-major order, whichever
-// side the hash table is built on.
-func (s *Session) hashJoinStep(left []types.Row, ls types.Schema, lref *vsql.TableRef,
-	right []types.Row, rs types.Schema, rref *vsql.TableRef, jc *vsql.JoinClause, buildLeft bool) ([]types.Row, types.Schema, bool, error) {
+// hashJoin runs one inner equi-join step of the pipeline over column
+// batches with vexec.JoinBatches. The matched pairs come out in left-major
+// order whichever side the hash table is built on, and are gathered into
+// typed columns, one output batch per left batch with matches.
+func (s *Session) hashJoin(left []*storage.Batch, ls types.Schema, lref *vsql.TableRef,
+	right []*storage.Batch, rs types.Schema, step *joinStep, stats *scanStats) ([]*storage.Batch, types.Schema, error) {
+	jc := step.clause
+	li, ri, out, err := joinSchema(ls, lref, rs, jc)
+	if err != nil {
+		return nil, types.Schema{}, err
+	}
+	joinStart := profClock(stats.prof)
+	var lbat, lsel, rbat, rsel []int32
+	vexec.JoinBatches(left, li, right, ri, step.buildLeft, func(lb, lr, rb, rr int32) {
+		lbat, lsel = append(lbat, lb), append(lsel, lr)
+		rbat, rsel = append(rbat, rb), append(rsel, rr)
+	})
+	var joined []*storage.Batch
+	err = forRuns(lbat, func(lo, hi int) error {
+		b, err := gatherPairs(left[lbat[lo]], lsel[lo:hi], right, rbat[lo:hi], rsel[lo:hi], out)
+		joined = append(joined, b)
+		return err
+	})
+	if err != nil {
+		return nil, types.Schema{}, err
+	}
+
+	nLeft, nRight := batchRows(left), batchRows(right)
+	buildRows, build := nRight, buildSideName(step.buildLeft)
+	if step.buildLeft {
+		buildRows = nLeft
+	}
+	s.raiseJoinBuildEvent(buildRows, build, jc.LeftCol, jc.RightCol)
+	if stats.prof != nil {
+		stats.prof.add(opStat{
+			name: "join", rowsIn: nLeft + nRight, rowsOut: batchRows(joined),
+			vecRows: nLeft + nRight, dur: time.Since(joinStart),
+			detail: fmt.Sprintf("vectorized hash join %s = %s, build %s side", jc.LeftCol, jc.RightCol, build),
+		})
+	}
+	return joined, out, nil
+}
+
+// joinSchema resolves a join's ON columns against its two input schemas
+// (the columns may be written either way around) and builds the output
+// schema: left columns, then right, qualified by their relation (the left
+// side only at the first step: lref is nil once the left input is itself a
+// join result).
+func joinSchema(ls types.Schema, lref *vsql.TableRef, rs types.Schema, jc *vsql.JoinClause) (int, int, types.Schema, error) {
 	li := resolveJoinCol(ls, jc.LeftCol)
 	ri := resolveJoinCol(rs, jc.RightCol)
-	// The ON columns may be written either way around; try swapping.
 	if li < 0 || ri < 0 {
 		li = resolveJoinCol(ls, jc.RightCol)
 		ri = resolveJoinCol(rs, jc.LeftCol)
 	}
 	if li < 0 || ri < 0 {
-		return nil, types.Schema{}, false, fmt.Errorf("vertica: join columns %q/%q not found", jc.LeftCol, jc.RightCol)
+		return 0, 0, types.Schema{}, fmt.Errorf("vertica: join columns %q/%q not found", jc.LeftCol, jc.RightCol)
 	}
 	out := types.Schema{}
 	for _, c := range ls.Cols {
@@ -1190,115 +1063,52 @@ func (s *Session) hashJoinStep(left []types.Row, ls types.Schema, lref *vsql.Tab
 		out.Cols = append(out.Cols, types.Column{Name: name, T: c.T})
 	}
 	for _, c := range rs.Cols {
-		out.Cols = append(out.Cols, types.Column{Name: qualify(rref, c.Name), T: c.T})
+		out.Cols = append(out.Cols, types.Column{Name: qualify(&jc.Right, c.Name), T: c.T})
 	}
-	if !s.cluster.cfg.RowAtATimeScans {
-		if rows, ok := vectorJoin(left, ls, li, right, rs, ri, buildLeft); ok {
-			return rows, out, true, nil
-		}
-	}
-	rows := rowHashJoin(left, li, right, ri)
-	return rows, out, false, nil
+	return li, ri, out, nil
 }
 
-// batchJoinStep is the batch-native first join: the anchor table scans as
-// columnar batches (segment-parallel, WHERE-free — the residual applies after
-// all joins) and vexec.JoinBatches probes them against the right side's typed
-// key table. Only matched pairs box into rows, so a selective join skips the
-// dominant cost of the materialize-then-join path: building boxed rows for
-// every probe-side input. nLeft reports the visible left rows for profiling.
-// ok=false (no error) means the shape isn't eligible — unresolvable ON
-// columns or a right side that won't columnize — and the caller falls back.
-func (s *Session) batchJoinStep(tbl *catalog.Table, base, rref *vsql.TableRef, jc *vsql.JoinClause, buildLeft bool,
-	right []types.Row, rs types.Schema, vis storage.Visibility, stats *scanStats) ([]types.Row, types.Schema, int64, bool, error) {
-	schema := tbl.Def.Schema
-	li := resolveJoinCol(schema, jc.LeftCol)
-	ri := resolveJoinCol(rs, jc.RightCol)
-	// The ON columns may be written either way around; try swapping.
-	if li < 0 || ri < 0 {
-		li = resolveJoinCol(schema, jc.RightCol)
-		ri = resolveJoinCol(rs, jc.LeftCol)
+// gatherPairs copies one left batch's matched pairs into a dense batch of the
+// out schema: the left columns at the rows in lsel, then the right columns at
+// (right[rbat[k]], rsel[k]) — each run of pairs from one right batch in one
+// typed AppendSelected call.
+func gatherPairs(lb *storage.Batch, lsel []int32, right []*storage.Batch, rbat, rsel []int32, out types.Schema) (*storage.Batch, error) {
+	cols := make([]storage.Column, len(out.Cols))
+	for j, c := range lb.Cols {
+		b := storage.NewBuilder(out.Cols[j].T)
+		if err := b.AppendSelected(c, lsel); err != nil {
+			return nil, err
+		}
+		cols[j] = b.Build()
 	}
-	if li < 0 || ri < 0 {
-		return nil, types.Schema{}, 0, false, nil
-	}
-	rcols, err := storage.ColumnsFromRows(right, rs)
-	if err != nil {
-		// Type drift in the right side's rows (view output, stored-type
-		// drift): fall back to the boxed join.
-		return nil, types.Schema{}, 0, false, nil
-	}
-
-	scanStart := profClock(stats.prof)
-	pred := vexec.Compile(nil, schema, tbl.SegIdx)
-	hr, _ := extractHashRange(nil, tbl)
-	jobs, err := s.buildSegJobs(tbl, hr)
-	if err != nil {
-		return nil, types.Schema{}, 0, false, err
-	}
-	type segBatches struct {
-		segResult
-		batches []*storage.Batch
-	}
-	results := make([]segBatches, len(jobs))
-	runSegJobs(len(jobs), func(i int) {
-		res := &results[i]
-		res.scanRows = float64(jobs[i].store.TotalRows())
-		err := jobs[i].store.ScanBatchesPruned(vis, hr, s.pruneFunc(pred, &res.segResult), func(b *storage.Batch) bool {
-			if len(b.Sel) > 0 {
-				res.batches = append(res.batches, b)
-			}
-			return true
+	nl := len(lb.Cols)
+	for j := nl; j < len(cols); j++ {
+		b := storage.NewBuilder(out.Cols[j].T)
+		err := forRuns(rbat, func(lo, hi int) error {
+			return b.AppendSelected(right[rbat[lo]].Cols[j-nl], rsel[lo:hi])
 		})
 		if err != nil {
-			res.err = err
+			return nil, err
 		}
-	})
-	var left []*storage.Batch
-	var nLeft, scanned int64
-	for i := range results {
-		res := &results[i]
-		if res.err != nil {
-			return nil, types.Schema{}, 0, false, res.err
-		}
-		stats.scanRows[sim.VName(jobs[i].homeNode)] += res.scanRows
-		scanned += int64(res.scanRows)
-		stats.contScanned += res.contSeen
-		for _, b := range res.batches {
-			nLeft += int64(len(b.Sel))
-		}
-		left = append(left, res.batches...)
+		cols[j] = b.Build()
 	}
-	if stats.table == "" {
-		stats.table = tbl.Def.Name
-	}
-	if stats.prof != nil {
-		stats.prof.add(opStat{
-			name: "scan " + tbl.Def.Name, rowsIn: scanned, rowsOut: nLeft, vecRows: nLeft,
-			dur: time.Since(scanStart), detail: fmt.Sprintf("%d segments, batch-native join input", len(jobs)),
-		})
-	}
+	return &storage.Batch{Schema: out, Cols: cols, Sel: storage.DenseSel(len(lsel))}, nil
+}
 
-	out := types.Schema{}
-	for _, c := range schema.Cols {
-		out.Cols = append(out.Cols, types.Column{Name: qualify(base, c.Name), T: c.T})
-	}
-	for _, c := range rs.Cols {
-		out.Cols = append(out.Cols, types.Column{Name: qualify(rref, c.Name), T: c.T})
-	}
-	rb := []*storage.Batch{{Schema: rs, Cols: rcols, Sel: allSel(len(right))}}
-	var rows []types.Row
-	vexec.JoinBatches(left, li, rb, ri, buildLeft, func(lb, lr, _, rr int32) {
-		row := make(types.Row, 0, len(out.Cols))
-		for _, c := range left[lb].Cols {
-			row = append(row, c.Get(int(lr)))
+// forRuns calls fn for each maximal run keys[lo:hi] of equal values, in
+// order, stopping at the first error.
+func forRuns(keys []int32, fn func(lo, hi int) error) error {
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi] == keys[lo] {
+			hi++
 		}
-		for _, c := range rcols {
-			row = append(row, c.Get(int(rr)))
+		if err := fn(lo, hi); err != nil {
+			return err
 		}
-		rows = append(rows, row)
-	})
-	return rows, out, nLeft, true, nil
+		lo = hi
+	}
+	return nil
 }
 
 // resolveJoinCol finds a join column in a schema: the full (possibly
@@ -1310,112 +1120,6 @@ func resolveJoinCol(schema types.Schema, name string) int {
 		return i
 	}
 	return schema.ColIndex(stripQualifier(name))
-}
-
-// vectorJoin joins via the typed batch kernels (vexec.JoinBatches): the
-// inputs are converted to column vectors, the build side's key table is
-// populated without boxing, and only matching pairs materialize rows. ok is
-// false when an input cannot be column-encoded (untyped values from view
-// projections); the caller falls back to the row join.
-func vectorJoin(left []types.Row, ls types.Schema, li int, right []types.Row, rs types.Schema, ri int, buildLeft bool) ([]types.Row, bool) {
-	lcols, err := storage.ColumnsFromRows(left, ls)
-	if err != nil {
-		return nil, false
-	}
-	rcols, err := storage.ColumnsFromRows(right, rs)
-	if err != nil {
-		return nil, false
-	}
-	lb := &storage.Batch{Schema: ls, Cols: lcols, Sel: allSel(len(left))}
-	rb := &storage.Batch{Schema: rs, Cols: rcols, Sel: allSel(len(right))}
-	width := len(ls.Cols) + len(rs.Cols)
-	var rows []types.Row
-	vexec.JoinBatches([]*storage.Batch{lb}, li, []*storage.Batch{rb}, ri, buildLeft, func(_, lr, _, rr int32) {
-		row := make(types.Row, 0, width)
-		for _, c := range lcols {
-			row = append(row, c.Get(int(lr)))
-		}
-		for _, c := range rcols {
-			row = append(row, c.Get(int(rr)))
-		}
-		rows = append(rows, row)
-	})
-	return rows, true
-}
-
-// allSel builds the identity selection vector of length n.
-func allSel(n int) []int32 {
-	sel := make([]int32, n)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	return sel
-}
-
-// rowHashJoin is the retained boxed-row reference join: build the hash table
-// on the right input, probe the left in order. The ablation/equivalence
-// oracle for vectorJoin.
-func rowHashJoin(left []types.Row, li int, right []types.Row, ri int) []types.Row {
-	ht := make(map[joinKey][]types.Row, len(right))
-	for _, r := range right {
-		k, ok := joinKeyOf(r[ri])
-		if !ok {
-			continue
-		}
-		ht[k] = append(ht[k], r)
-	}
-	var rows []types.Row
-	for _, l := range left {
-		k, ok := joinKeyOf(l[li])
-		if !ok {
-			continue
-		}
-		for _, r := range ht[k] {
-			row := make(types.Row, 0, len(l)+len(r))
-			row = append(row, l...)
-			row = append(row, r...)
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-// joinKey is a typed, comparable hash-join key. Values of the same family
-// equal each other per types.Compare (so INTEGER 1 joins FLOAT 1.0), while
-// values of different families never collide — unlike the old string-rendered
-// keys, where IntValue(1) and StringValue("1") were indistinguishable. Being
-// a value type, it also costs no allocation per build/probe.
-type joinKey struct {
-	kind byte // 'i' integral numeric, 'f' non-integral float, 's' string, 'b' bool
-	i    int64
-	f    float64
-	s    string
-	b    bool
-}
-
-// joinKeyOf builds the key for v; ok is false for NULLs (which never join).
-func joinKeyOf(v types.Value) (joinKey, bool) {
-	if v.Null {
-		return joinKey{}, false
-	}
-	switch v.T {
-	case types.Int64:
-		return joinKey{kind: 'i', i: v.I}, true
-	case types.Float64:
-		// Integral floats normalize to the int form so 1.0 matches INTEGER 1,
-		// mirroring types.Compare's numeric promotion. Magnitudes beyond the
-		// int64-exact range stay in float form.
-		if f := v.F; f == math.Trunc(f) && f >= -(1<<62) && f <= 1<<62 {
-			return joinKey{kind: 'i', i: int64(f)}, true
-		}
-		return joinKey{kind: 'f', f: v.F}, true
-	case types.Varchar:
-		return joinKey{kind: 's', s: v.S}, true
-	case types.Bool:
-		return joinKey{kind: 'b', b: v.B}, true
-	default:
-		return joinKey{}, false
-	}
 }
 
 func stripQualifier(name string) string {

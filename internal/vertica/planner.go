@@ -100,8 +100,8 @@ func clauseConnects(jc *vsql.JoinClause, attached map[string]bool) bool {
 // the FROM relation, it repeatedly attaches the connectable clause whose
 // right relation is smallest (ties and unconnectable leftovers fall back to
 // syntactic order), and builds each join's hash table on the smaller input.
-// The plan drives both the vectorized and the row-at-a-time execution paths,
-// so the ablation knob changes only the execution strategy, never the plan.
+// The batch join pipeline and the test suite's row-at-a-time reference
+// both follow this plan, so they attach relations in the same order.
 func (s *Session) planJoins(st *vsql.Select) *queryPlan {
 	p := &queryPlan{baseEst: s.relationEst(st.From)}
 	p.order = []string{displayName(st.From)}
@@ -307,9 +307,10 @@ func (s *Session) executeExplain(ex *vsql.Explain) (*Result, error) {
 			add("filter", "", estLeft, 0, 0, "post-join residual")
 		}
 	}
+	fallback := aggFallbackReason(s, st)
 	if grouped {
 		detail := "vectorized hash aggregation"
-		if s.cluster.cfg.RowAtATimeScans || len(st.Joins) > 0 || !vectorAggEligible(s, st) {
+		if fallback != "" {
 			detail = "row-at-a-time aggregation"
 		}
 		add("group-by", "", int64(len(st.GroupBy)), 0, 0, detail)
@@ -322,9 +323,8 @@ func (s *Session) executeExplain(ex *vsql.Explain) (*Result, error) {
 	}
 	// Predicted query events: conditions the plan can already prove will
 	// raise a typed event at execution time (see internal/vertica/events.go).
-	if grouped && (s.cluster.cfg.RowAtATimeScans || len(st.Joins) > 0 || !vectorAggEligible(s, st)) {
-		add("event", string(obs.EvGroupByFallback), 0, 0, 0,
-			"aggregation will run on the row-at-a-time path")
+	if fallback != "" {
+		add("event", string(obs.EvGroupByFallback), 0, 0, 0, fallback)
 	}
 	if zoneSkip {
 		add("event", string(obs.EvZoneMapPruneSkipped), 0, 0, 0,

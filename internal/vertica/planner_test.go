@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"vsfabric/internal/types"
+	"vsfabric/internal/vsql"
+	"vsfabric/internal/workload"
 )
 
 // prunableTable creates table pz whose ROS containers have disjoint id
@@ -283,10 +285,10 @@ func TestProfileGroupBy(t *testing.T) {
 	}
 }
 
-// TestAggEquivalenceProperty is the seeded equivalence suite: the vectorized
-// aggregation and join paths must return exactly what the row-at-a-time
-// reference returns — NULL group keys, empty groups, mixed INT/FLOAT
-// aggregates, duplicate join keys.
+// TestAggEquivalenceProperty is the seeded equivalence suite for
+// aggregation: the production path (vectorized hash aggregation where
+// eligible) must return exactly what the row-at-a-time reference returns —
+// NULL group keys, empty groups, mixed INT/FLOAT aggregates.
 func TestAggEquivalenceProperty(t *testing.T) {
 	queries := []string{
 		// NULL group keys and mixed INT/FLOAT aggregates.
@@ -305,32 +307,23 @@ func TestAggEquivalenceProperty(t *testing.T) {
 		"SELECT grp, SUM(val) FROM t WHERE id >= 300 GROUP BY grp ORDER BY grp",
 		"SELECT name, MIN(val), MAX(val) FROM t WHERE grp IS NOT NULL GROUP BY name ORDER BY name",
 		"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp LIMIT 3",
+		// Group discovery order without ORDER BY.
+		"SELECT grp, SUM(val) FROM t GROUP BY grp",
 	}
-	run := func(rowAtATime bool) []*Result {
-		c, err := NewCluster(Config{Nodes: 3, RowAtATimeScans: rowAtATime})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := c.Connect(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		buildRandomTable(t, s, c, rand.New(rand.NewSource(7)), 600)
-		out := make([]*Result, len(queries))
-		for i, q := range queries {
-			out[i] = s.MustExecute(q)
-		}
-		return out
-	}
-	vec, ref := run(false), run(true)
-	for i := range queries {
-		sameResults(t, queries[i], vec[i], ref[i])
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	buildRandomTable(t, s, c, rand.New(rand.NewSource(7)), 600)
+	for _, q := range queries {
+		sameResults(t, q, s.MustExecute(q), mustRefSelect(t, s, q))
 	}
 }
 
-// TestJoinEquivalenceProperty diffs the vectorized multi-way join against the
-// row-at-a-time reference, duplicate and NULL keys included.
+// TestJoinEquivalenceProperty diffs the batch join pipeline against the
+// row-at-a-time reference, row order included: duplicate and NULL keys,
+// multi-way joins (with a later step building its hash table on the
+// accumulated result), views and system tables as join inputs, INTEGER =
+// FLOAT keys, a right side spread over several ROS containers plus the WOS,
+// residual WHERE clauses (HASH ones included), and ORDER BY / LIMIT.
 func TestJoinEquivalenceProperty(t *testing.T) {
 	queries := []string{
 		"SELECT o.id, c.name FROM o JOIN c ON o.cid = c.cid ORDER BY o.id, c.name",
@@ -340,54 +333,129 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 		"SELECT o.id, c.name, x.tag FROM o JOIN c ON o.cid = c.cid JOIN x ON o.cid = x.cid WHERE o.id < 150 ORDER BY o.id, x.tag",
 		// Join feeding aggregation.
 		"SELECT c.name, COUNT(*) FROM o JOIN c ON o.cid = c.cid GROUP BY c.name ORDER BY c.name",
+		// Pipeline order, unsorted: left-major, right matches in scan order.
+		"SELECT * FROM o JOIN x ON o.cid = x.cid",
+		"SELECT o.id, x.tag, c.name FROM o JOIN x ON x.cid = o.cid JOIN c ON c.cid = o.cid",
+		// c is smallest: both steps build on the left, the second on the
+		// accumulated c JOIN o result.
+		"SELECT * FROM c JOIN o ON c.cid = o.cid JOIN big ON o.id = big.oid",
+		"SELECT c.name, o.id, big.w FROM c JOIN o ON c.cid = o.cid JOIN big ON o.id = big.oid WHERE big.w > 10.5 AND c.name <> 'cust3'",
+		// A view (with computed and function columns) and system tables as
+		// join inputs, on either side.
+		"SELECT o.id, cv.name, cv.cid2, cv.ver FROM o JOIN cv ON o.cid = cv.cid",
+		"SELECT cv.name, o.id FROM cv JOIN o ON cv.cid = o.cid WHERE o.id >= 100",
+		"SELECT o.id, cv.name FROM o JOIN cv ON o.id = cv.cid2",
+		"SELECT tn.label, vt.is_segmented, vt.segment_expression FROM tn JOIN v_catalog.tables vt ON tn.tname = vt.table_name",
+		"SELECT vc.table_name, vc.column_name, tn.label FROM v_catalog.columns vc JOIN tn ON vc.table_name = tn.tname",
+		// INTEGER = FLOAT keys: integral floats join, 2.5 never does.
+		"SELECT o.id, f.note FROM o JOIN f ON o.cid = f.k",
+		"SELECT f.note, o.id FROM f JOIN o ON f.k = o.cid",
+		// Residual WHERE over the joined batch: kernels, interpreted
+		// conjuncts, and HASH calls (joined batches carry no hash vector).
+		"SELECT o.id, x.tag FROM o JOIN x ON o.cid = x.cid WHERE x.tag >= 'tag3' AND MOD(o.id, 3) = 0",
+		"SELECT o.id, x.tag FROM o JOIN x ON o.cid = x.cid WHERE HASH(o.id) < 2000000000",
+		"SELECT o.id, c.name FROM o JOIN c ON o.cid = c.cid WHERE HASH(*) >= 1000000000 AND o.id < 200",
+		"SELECT o.id, c.name FROM o JOIN c ON o.cid = c.cid WHERE HASH(*) < 1000000000 OR o.id < 10",
+		"SELECT o.id, c.name FROM o JOIN c ON o.cid = c.cid WHERE c.name IS NULL OR o.cid IS NULL",
+		// ORDER BY and LIMIT over a join.
+		"SELECT o.id, x.tag FROM o JOIN x ON o.cid = x.cid ORDER BY x.tag DESC, o.id LIMIT 25",
+		"SELECT o.id, c.name FROM o JOIN c ON o.cid = c.cid LIMIT 17",
+		"SELECT o.id, c.name FROM o JOIN c ON o.cid = c.cid LIMIT 0",
 	}
-	run := func(rowAtATime bool) []*Result {
-		c, err := NewCluster(Config{Nodes: 3, RowAtATimeScans: rowAtATime})
-		if err != nil {
-			t.Fatal(err)
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	rng := rand.New(rand.NewSource(11))
+	s.MustExecute("CREATE TABLE o (id INTEGER, cid INTEGER) SEGMENTED BY HASH(id)")
+	s.MustExecute("CREATE TABLE c (cid INTEGER, name VARCHAR) SEGMENTED BY HASH(cid)")
+	s.MustExecute("CREATE TABLE x (cid INTEGER, tag VARCHAR) SEGMENTED BY HASH(cid)")
+	s.MustExecute("CREATE TABLE big (oid INTEGER, w FLOAT) SEGMENTED BY HASH(oid)")
+	s.MustExecute("CREATE TABLE f (k FLOAT, note VARCHAR) SEGMENTED BY HASH(k)")
+	s.MustExecute("CREATE TABLE tn (tname VARCHAR, label VARCHAR)")
+	var ov, cv, bv []string
+	for i := 0; i < 300; i++ {
+		cid := fmt.Sprintf("%d", rng.Intn(20))
+		if rng.Intn(15) == 0 {
+			cid = "NULL"
 		}
-		s, err := c.Connect(0)
-		if err != nil {
-			t.Fatal(err)
+		ov = append(ov, fmt.Sprintf("(%d, %s)", i, cid))
+	}
+	for i := 0; i < 20; i++ {
+		cv = append(cv, fmt.Sprintf("(%d, 'cust%d')", i, i))
+	}
+	cv = append(cv, "(NULL, 'null-cust')", "(7, NULL)")
+	// big holds several rows per o.id, so it outsizes the accumulated
+	// c JOIN o result and the second step builds on the left.
+	for i := 0; i < 900; i++ {
+		bv = append(bv, fmt.Sprintf("(%d, %d.5)", rng.Intn(320), rng.Intn(40)))
+	}
+	s.MustExecute("INSERT INTO o VALUES " + strings.Join(ov, ", "))
+	s.MustExecute("INSERT INTO c VALUES " + strings.Join(cv, ", "))
+	s.MustExecute("INSERT INTO big VALUES " + strings.Join(bv, ", "))
+	s.MustExecute("INSERT INTO f VALUES (1.0, 'one'), (2.5, 'two-and-a-half'), (3, 'three'), (NULL, 'null'), (19.0, 'nineteen'), (-4.0, 'neg')")
+	s.MustExecute("INSERT INTO tn VALUES ('o', 'orders'), ('x', 'tags'), ('missing', 'none'), ('c', 'customers')")
+	s.MustExecute("CREATE VIEW cv AS SELECT cid, name, cid * 2 AS cid2, VERSION() AS ver FROM c WHERE cid < 15")
+	// x, a join's right side, spans three ROS containers per node plus WOS
+	// rows, with deletes on both tiers; duplicate cids give several tags
+	// per key.
+	tag := 0
+	for part := 0; part < 4; part++ {
+		var xv []string
+		for i := 0; i < 15; i++ {
+			xv = append(xv, fmt.Sprintf("(%d, 'tag%d')", rng.Intn(20), tag))
+			tag++
 		}
-		defer s.Close()
-		rng := rand.New(rand.NewSource(11))
-		s.MustExecute("CREATE TABLE o (id INTEGER, cid INTEGER) SEGMENTED BY HASH(id)")
-		s.MustExecute("CREATE TABLE c (cid INTEGER, name VARCHAR) SEGMENTED BY HASH(cid)")
-		s.MustExecute("CREATE TABLE x (cid INTEGER, tag VARCHAR) SEGMENTED BY HASH(cid)")
-		var ov, cv, xv []string
-		for i := 0; i < 300; i++ {
-			cid := fmt.Sprintf("%d", rng.Intn(20))
-			if rng.Intn(15) == 0 {
-				cid = "NULL"
-			}
-			ov = append(ov, fmt.Sprintf("(%d, %s)", i, cid))
-		}
-		for i := 0; i < 20; i++ {
-			cv = append(cv, fmt.Sprintf("(%d, 'cust%d')", i, i))
-		}
-		cv = append(cv, "(NULL, 'null-cust')")
-		// x holds duplicate cids: several tags per key.
-		for i := 0; i < 50; i++ {
-			xv = append(xv, fmt.Sprintf("(%d, 'tag%d')", rng.Intn(20), i))
-		}
-		s.MustExecute("INSERT INTO o VALUES " + strings.Join(ov, ", "))
-		s.MustExecute("INSERT INTO c VALUES " + strings.Join(cv, ", "))
 		s.MustExecute("INSERT INTO x VALUES " + strings.Join(xv, ", "))
-		if err := c.Moveout(); err != nil {
+		if part < 3 {
+			if err := c.Moveout(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s.MustExecute("DELETE FROM x WHERE tag = 'tag5' OR tag = 'tag50'")
+	xt, _ := c.Catalog().Table("x")
+	if n := len(xt.Stores[0].Containers()); n < 2 {
+		t.Fatalf("x has %d ROS containers on node 0, want several", n)
+	}
+	st, err := vsql.Parse("SELECT * FROM c JOIN o ON c.cid = o.cid JOIN big ON o.id = big.oid")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps := s.planJoins(st.(*vsql.Select)).steps; !steps[0].buildLeft || !steps[1].buildLeft {
+		t.Fatalf("c JOIN o JOIN big: build left = %v, %v; want both", steps[0].buildLeft, steps[1].buildLeft)
+	}
+	for _, q := range queries {
+		got := s.MustExecute(q)
+		if len(got.Rows) == 0 && !strings.HasSuffix(q, "LIMIT 0") {
+			t.Fatalf("%s: empty result, data generator broken", q)
+		}
+		sameResults(t, q, got, mustRefSelect(t, s, q))
+	}
+}
+
+// TestStarWorkloadMatchesReference is the aggregation/join bench gate: every
+// query cmd/aggbench times, over the same star-schema data at smoke scale
+// (50k fact rows), must match the row-at-a-time reference cell by cell —
+// row count, schema width, values and NULLs — and must not come back empty.
+func TestStarWorkloadMatchesReference(t *testing.T) {
+	c := testCluster(t, 4)
+	s := sess(t, c, 0)
+	for _, q := range workload.StarDDL {
+		s.MustExecute(q)
+	}
+	fact, dim, tags := workload.StarCSV(50_000)
+	for _, load := range []struct{ table, csv string }{{"fact", fact}, {"dim", dim}, {"tags", tags}} {
+		if _, err := s.CopyFrom("COPY "+load.table+" FROM STDIN FORMAT CSV DIRECT", strings.NewReader(load.csv)); err != nil {
 			t.Fatal(err)
 		}
-		out := make([]*Result, len(queries))
-		for i, q := range queries {
-			out[i] = s.MustExecute(q)
-		}
-		return out
 	}
-	vec, ref := run(false), run(true)
-	for i := range queries {
-		if len(vec[i].Rows) == 0 {
-			t.Fatalf("%s: empty result, data generator broken", queries[i])
+	for _, q := range append(append([]workload.StarQuery(nil), workload.StarAggQueries...), workload.StarJoinQueries...) {
+		got, want := s.MustExecute(q.Query), mustRefSelect(t, s, q.Query)
+		if len(got.Schema.Cols) != len(want.Schema.Cols) {
+			t.Fatalf("%s: schema width %d, reference %d", q.Name, len(got.Schema.Cols), len(want.Schema.Cols))
 		}
-		sameResults(t, queries[i], vec[i], ref[i])
+		sameResults(t, q.Name, got, want)
+		if len(got.Rows) == 0 {
+			t.Fatalf("%s: zero-row result on the bench workload", q.Name)
+		}
 	}
 }

@@ -24,7 +24,8 @@ type planRecord struct {
 	ContainersPruned  int64
 	// Pushdown names the scan-level short-circuit taken ("count", "group-by",
 	// or "" for a plain scan); Vectorized reports whether the batch pipeline
-	// ran (false under the RowAtATimeScans ablation).
+	// ran (false for a FROM-less SELECT or one over a single view or system
+	// table).
 	Pushdown   string
 	Vectorized bool
 	Epoch      uint64

@@ -75,18 +75,4 @@ func TestProfileSelect(t *testing.T) {
 	if last[0].S != "total" || last[2].I != 1 {
 		t.Fatalf("PROFILE COUNT(*) total row = %+v, want 1 result row", last)
 	}
-
-	// The profiled query must not perturb the data or fail under the
-	// row-at-a-time reference config either.
-	cr, err := NewCluster(Config{Nodes: 2, RowAtATimeScans: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := sess(t, cr, 0)
-	sr.MustExecute("CREATE TABLE pt (id INTEGER, val FLOAT)")
-	sr.MustExecute("INSERT INTO pt VALUES (1, 1.5), (2, 2.5)")
-	res = sr.MustExecute("PROFILE SELECT val FROM pt WHERE id = 1")
-	if last := res.Rows[len(res.Rows)-1]; last[0].S != "total" || last[2].I != 1 {
-		t.Fatalf("row-at-a-time PROFILE total = %+v, want 1 row out", last)
-	}
 }

@@ -99,7 +99,32 @@ func projectScalar(st *vsql.Select, rows []types.Row, schema types.Schema) ([]ty
 		}
 		out[i] = row
 	}
+	typeFuncColumns(st.Items, len(schema.Cols), outSchema, out)
 	return out, outSchema, nil
+}
+
+// typeFuncColumns types each function-call column of a projection from its
+// first non-NULL value: a builtin or UDx declares no return type (VERSION()
+// returns a string, LAST_EPOCH() an integer, a scoring UDx a float), and a
+// column typed FLOAT would coerce a string to NaN on the way to the wire.
+// A column with no non-NULL value keeps inferType's FLOAT.
+func typeFuncColumns(items []vsql.SelectItem, inWidth int, schema types.Schema, rows []types.Row) {
+	j := 0
+	for _, it := range items {
+		if it.Star {
+			j += inWidth
+			continue
+		}
+		if _, ok := it.Expr.(*expr.FuncCall); ok {
+			for _, r := range rows {
+				if !r[j].Null {
+					schema.Cols[j].T = r[j].T
+					break
+				}
+			}
+		}
+		j++
+	}
 }
 
 // selectShape resolves non-aggregate select items to output columns and
@@ -169,7 +194,7 @@ func inferType(e expr.Expr, schema types.Schema) types.Type {
 		}
 		return types.Float64
 	case *expr.FuncCall:
-		return types.Float64 // scoring UDxs return numbers; refined at runtime
+		return types.Float64 // scoring UDxs return numbers; see typeFuncColumns
 	default:
 		return types.Unknown
 	}

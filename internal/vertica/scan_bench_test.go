@@ -14,9 +14,9 @@ const benchScanRows = 1_000_000
 
 // buildScanBenchCluster loads a 1M-row segmented table via COPY ... DIRECT.
 // grp cycles 0..99, so `grp = 7` selects 1% of the rows.
-func buildScanBenchCluster(b *testing.B, rowAtATime bool) *Session {
+func buildScanBenchCluster(b *testing.B) *Session {
 	b.Helper()
-	c, err := NewCluster(Config{Nodes: 4, RowAtATimeScans: rowAtATime})
+	c, err := NewCluster(Config{Nodes: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,12 +38,18 @@ func buildScanBenchCluster(b *testing.B, rowAtATime bool) *Session {
 	return s
 }
 
-func benchSelectiveScan(b *testing.B, rowAtATime bool) {
-	s := buildScanBenchCluster(b, rowAtATime)
+// benchQuery is the query path a benchmark times: the production engine, or
+// the row-at-a-time reference (refSelect).
+type benchQuery func(s *Session, q string) (*Result, error)
+
+func engineQuery(s *Session, q string) (*Result, error) { return s.Execute(q) }
+
+func benchSelectiveScan(b *testing.B, run benchQuery) {
+	s := buildScanBenchCluster(b)
 	const q = "SELECT id, val FROM bench_scan WHERE grp = 7"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Execute(q)
+		res, err := run(s, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,15 +61,15 @@ func benchSelectiveScan(b *testing.B, rowAtATime bool) {
 	b.ReportMetric(float64(benchScanRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-func BenchmarkScanVectorized(b *testing.B) { benchSelectiveScan(b, false) }
-func BenchmarkScanRowAtATime(b *testing.B) { benchSelectiveScan(b, true) }
+func BenchmarkScanVectorized(b *testing.B) { benchSelectiveScan(b, engineQuery) }
+func BenchmarkScanRowAtATime(b *testing.B) { benchSelectiveScan(b, refSelect) }
 
-func benchCount(b *testing.B, rowAtATime bool) {
-	s := buildScanBenchCluster(b, rowAtATime)
+func benchCount(b *testing.B, run benchQuery) {
+	s := buildScanBenchCluster(b)
 	const q = "SELECT COUNT(*) FROM bench_scan WHERE id >= 0"
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Execute(q)
+		res, err := run(s, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,5 +81,5 @@ func benchCount(b *testing.B, rowAtATime bool) {
 	b.ReportMetric(float64(benchScanRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-func BenchmarkCountVectorized(b *testing.B) { benchCount(b, false) }
-func BenchmarkCountRowAtATime(b *testing.B) { benchCount(b, true) }
+func BenchmarkCountVectorized(b *testing.B) { benchCount(b, engineQuery) }
+func BenchmarkCountRowAtATime(b *testing.B) { benchCount(b, refSelect) }

@@ -55,40 +55,43 @@ func (r *Result) rowForm() {
 	}
 }
 
-// columnForm converts a row-form result set into a single batch, coercing
-// each value to its column's declared type: engine results are permissive
-// (an expression over a FLOAT column can yield INTEGER-kinded values), but
-// column vectors are strict. A result without a schema has no result set
-// and is left alone.
+// columnForm converts a row-form result set into column form (see
+// rowBatches). A result without a schema has no result set and is left
+// alone.
 func (r *Result) columnForm() error {
 	if r.Batches != nil || r.Schema.NumCols() == 0 {
 		return nil
 	}
-	if len(r.Rows) == 0 {
-		// No columns to build (an UNKNOWN-typed one could not be): the
-		// schema alone describes an empty result.
-		r.Batches, r.Rows = []*storage.Batch{}, nil
-		return nil
+	batches, err := rowBatches(r.Rows, r.Schema)
+	if err != nil {
+		return err
 	}
-	builders := storage.NewBuilders(r.Schema)
-	for _, row := range r.Rows {
+	r.Batches, r.Rows = batches, nil
+	return nil
+}
+
+// rowBatches turns rows into one dense batch whose columns follow schema,
+// coercing each value to its column's declared type: engine rows are
+// permissive (an expression over a FLOAT column can yield INTEGER-kinded
+// values), but column vectors are strict. No rows give no batch (a non-nil
+// empty slice), so a column no builder can hold (UNKNOWN) needs none.
+func rowBatches(rows []types.Row, schema types.Schema) ([]*storage.Batch, error) {
+	if len(rows) == 0 {
+		return []*storage.Batch{}, nil
+	}
+	builders := storage.NewBuilders(schema)
+	for _, row := range rows {
 		if len(row) != len(builders) {
-			return fmt.Errorf("vertica: result row width %d != schema width %d", len(row), len(builders))
+			return nil, fmt.Errorf("vertica: result row width %d != schema width %d", len(row), len(builders))
 		}
 		for j, v := range row {
-			if err := builders[j].Append(coerceResult(v, r.Schema.Cols[j].T)); err != nil {
-				return err
+			if err := builders[j].Append(coerceResult(v, schema.Cols[j].T)); err != nil {
+				return nil, err
 			}
 		}
 	}
 	cols := storage.BuildAll(builders)
-	sel := make([]int32, len(r.Rows))
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	r.Batches = []*storage.Batch{{Schema: r.Schema, Cols: cols, Sel: sel}}
-	r.Rows = nil
-	return nil
+	return []*storage.Batch{{Schema: schema, Cols: cols, Sel: storage.DenseSel(len(rows))}}, nil
 }
 
 // coerceResult converts v to a result column's declared type (Unknown keeps

@@ -43,9 +43,6 @@ func aggOpOf(fn vsql.AggFn) (vexec.AggOp, bool) {
 // or system tables) with every aggregate argument a plain column. Anything
 // else falls back to the row-at-a-time aggregate().
 func vectorAggEligible(s *Session, st *vsql.Select) bool {
-	if s.cluster.cfg.RowAtATimeScans {
-		return false
-	}
 	if st.From == nil || len(st.Joins) > 0 {
 		return false
 	}
@@ -79,6 +76,23 @@ func vectorAggEligible(s *Session, st *vsql.Select) bool {
 		}
 	}
 	return true
+}
+
+// aggFallbackReason says why a grouped SELECT runs on the row-at-a-time
+// aggregate() instead of the vectorized kernels, or "" when it does not (no
+// aggregation, or vectorAggEligible). Execution raises it as the
+// GROUP_BY_FALLBACK_ROW_PATH event's detail and EXPLAIN predicts it.
+func aggFallbackReason(s *Session, st *vsql.Select) string {
+	switch {
+	case !hasAggregates(st) && len(st.GroupBy) == 0, vectorAggEligible(s, st):
+		return ""
+	case len(st.Joins) > 0:
+		return "aggregate over a join runs row-at-a-time"
+	case st.From != nil && !baseTableOnly(s, st.From):
+		return "aggregate over a non-base relation runs row-at-a-time"
+	default:
+		return "aggregation shape not eligible for vectorized kernels"
+	}
 }
 
 // tryVectorizedAgg answers an eligible GROUP BY / aggregate SELECT from the

@@ -252,48 +252,25 @@ func TestCountPushdown(t *testing.T) {
 	}
 }
 
-// TestRowAtATimeScansKnob runs the same workload with the ablation knob on:
-// results must be identical to the vectorized default.
-func TestRowAtATimeScansKnob(t *testing.T) {
-	run := func(rowAtATime bool) [][]types.Row {
-		c, err := NewCluster(Config{Nodes: 3, RowAtATimeScans: rowAtATime})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := c.Connect(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		s.MustExecute("CREATE TABLE t (id INTEGER, grp INTEGER) SEGMENTED BY HASH(id)")
-		var vals []string
-		for i := 0; i < 200; i++ {
-			vals = append(vals, fmt.Sprintf("(%d, %d)", i, i%7))
-		}
-		s.MustExecute("INSERT INTO t VALUES " + strings.Join(vals, ", "))
-		var out [][]types.Row
-		for _, q := range []string{
-			"SELECT id FROM t WHERE grp = 2",
-			"SELECT COUNT(*) FROM t WHERE id >= 100",
-			"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp",
-			"SELECT id FROM t WHERE grp = 5 LIMIT 4",
-		} {
-			out = append(out, s.MustExecute(q).Rows)
-		}
-		return out
+// TestQueriesMatchRefSelect runs a small scan, count, aggregate and LIMIT
+// workload on the production pipeline and on the row-at-a-time reference:
+// results must be identical, order included.
+func TestQueriesMatchRefSelect(t *testing.T) {
+	c := testCluster(t, 3)
+	s := sess(t, c, 0)
+	s.MustExecute("CREATE TABLE t (id INTEGER, grp INTEGER) SEGMENTED BY HASH(id)")
+	var vals []string
+	for i := 0; i < 200; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d)", i, i%7))
 	}
-	vec, ref := run(false), run(true)
-	for qi := range vec {
-		if len(vec[qi]) != len(ref[qi]) {
-			t.Fatalf("query %d: %d rows vectorized, %d row-at-a-time", qi, len(vec[qi]), len(ref[qi]))
-		}
-		for i := range vec[qi] {
-			for j := range vec[qi][i] {
-				if types.Compare(vec[qi][i][j], ref[qi][i][j]) != 0 {
-					t.Fatalf("query %d row %d: %v vs %v", qi, i, vec[qi][i], ref[qi][i])
-				}
-			}
-		}
+	s.MustExecute("INSERT INTO t VALUES " + strings.Join(vals, ", "))
+	for _, q := range []string{
+		"SELECT id FROM t WHERE grp = 2",
+		"SELECT COUNT(*) FROM t WHERE id >= 100",
+		"SELECT grp, COUNT(*) FROM t GROUP BY grp ORDER BY grp",
+		"SELECT id FROM t WHERE grp = 5 LIMIT 4",
+	} {
+		sameResults(t, q, s.MustExecute(q), mustRefSelect(t, s, q))
 	}
 }
 

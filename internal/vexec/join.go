@@ -15,9 +15,9 @@ import (
 // function. Key semantics are the engine's typed join keys: NULL never
 // matches, INTEGER matches integral FLOAT, no cross-family collisions.
 
-// JoinKey is a typed, comparable hash-join key, identical in semantics to
-// the engine's row-path key so both execution paths join exactly the same
-// pairs.
+// JoinKey is a typed, comparable hash-join key. JoinKeyOf keys boxed
+// values the same way the column paths key vectors, so a row-at-a-time
+// join keyed by it pairs exactly the rows JoinBatches pairs.
 type JoinKey struct {
 	kind byte // 'i' integral numeric, 'f' non-integral float, 's' string, 'b' bool
 	i    int64

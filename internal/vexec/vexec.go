@@ -44,6 +44,11 @@ func (p *Pred) NumKernels() int { return len(p.kernels) }
 // Residual returns the interpreted remainder (nil when fully compiled).
 func (p *Pred) Residual() expr.Expr { return p.residual }
 
+// NoHashes is the segIdx for batches that carry no hash vector (join
+// outputs): no HASH(...) call names it, so every HASH conjunct runs
+// interpreted over the batch's rows.
+var NoHashes = []int{-1}
+
 // Compile lowers where against the schema. segIdx gives the schema indexes
 // of the segmentation columns used to precompute batch hashes (HASH(...)
 // conjuncts matching it lower to hash-vector kernels); pass nil when batch
