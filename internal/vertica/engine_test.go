@@ -500,6 +500,52 @@ func TestBuiltinsAndUDx(t *testing.T) {
 	}
 }
 
+// TestFuncColumnTypes: a function column takes the one type its non-NULL
+// values share; values of mixed type, or none at all, keep FLOAT, and the
+// column form then holds every value without truncation.
+func TestFuncColumnTypes(t *testing.T) {
+	c := testCluster(t, 1)
+	s := sess(t, c, 0)
+	c.RegisterUDx("int_or_half", func(args []types.Value, _ map[string]string) (types.Value, error) {
+		if args[0].I%2 == 0 {
+			return types.IntValue(args[0].I), nil
+		}
+		return types.FloatValue(float64(args[0].I) + 0.5), nil
+	})
+	c.RegisterUDx("always_null", func([]types.Value, map[string]string) (types.Value, error) {
+		return types.NullValue(types.Int64), nil
+	})
+	s.MustExecute("CREATE TABLE t (x INTEGER)")
+	s.MustExecute("INSERT INTO t VALUES (2), (3), (4)")
+	for _, tc := range []struct {
+		q    string
+		want []types.Type
+	}{
+		{"SELECT x, VERSION() AS v FROM t ORDER BY x", []types.Type{types.Int64, types.Varchar}},
+		{"SELECT INT_OR_HALF(x) FROM t WHERE x = 2", []types.Type{types.Int64}},
+		{"SELECT x, INT_OR_HALF(x) AS h FROM t ORDER BY x", []types.Type{types.Int64, types.Float64}},
+		{"SELECT ALWAYS_NULL(x) FROM t", []types.Type{types.Float64}},
+		{"SELECT VERSION() FROM t WHERE x < 0", []types.Type{types.Float64}},
+	} {
+		res := s.MustExecute(tc.q)
+		for j, want := range tc.want {
+			if got := res.Schema.Cols[j].T; got != want {
+				t.Errorf("%s: column %d is %v, want %v", tc.q, j, got, want)
+			}
+		}
+	}
+	res := s.MustExecute("SELECT x, INT_OR_HALF(x) AS h FROM t ORDER BY x")
+	if err := res.columnForm(); err != nil {
+		t.Fatal(err)
+	}
+	res.rowForm()
+	for i, want := range []float64{2, 3.5, 4} {
+		if got := res.Rows[i][1].AsFloat(); got != want {
+			t.Errorf("INT_OR_HALF row %d = %v, want %v", i, got, want)
+		}
+	}
+}
+
 func TestRenameOverwriteCommit(t *testing.T) {
 	// The S2V overwrite pattern: staging renamed over target atomically with
 	// a conditional status update.

@@ -430,6 +430,17 @@ func TestJoinEquivalenceProperty(t *testing.T) {
 		}
 		sameResults(t, q, got, mustRefSelect(t, s, q))
 	}
+	// A residual over a column no input has is an error, never a panic or
+	// a silently always-true HASH bound.
+	for _, q := range []string{
+		"SELECT o.id FROM o JOIN c ON o.cid = c.cid WHERE HASH(o.nosuch) < 100",
+		"SELECT o.id FROM o JOIN c ON o.cid = c.cid WHERE HASH(o.nosuch) >= -1",
+		"SELECT o.id FROM o JOIN c ON o.cid = c.cid WHERE o.nosuch = 1",
+	} {
+		if _, err := s.Execute(q); err == nil || !strings.Contains(err.Error(), "nosuch") {
+			t.Fatalf("%s: err = %v, want an unknown-column error", q, err)
+		}
+	}
 }
 
 // TestStarWorkloadMatchesReference is the aggregation/join bench gate: every

@@ -104,10 +104,12 @@ func projectScalar(st *vsql.Select, rows []types.Row, schema types.Schema) ([]ty
 }
 
 // typeFuncColumns types each function-call column of a projection from its
-// first non-NULL value: a builtin or UDx declares no return type (VERSION()
+// non-NULL values: a builtin or UDx declares no return type (VERSION()
 // returns a string, LAST_EPOCH() an integer, a scoring UDx a float), and a
 // column typed FLOAT would coerce a string to NaN on the way to the wire.
-// A column with no non-NULL value keeps inferType's FLOAT.
+// A column with no non-NULL value, or whose values disagree in type (a UDx
+// returning INTEGER for some rows and FLOAT for others), keeps inferType's
+// FLOAT, so no value is truncated to the first row's type.
 func typeFuncColumns(items []vsql.SelectItem, inWidth int, schema types.Schema, rows []types.Row) {
 	j := 0
 	for _, it := range items {
@@ -116,15 +118,27 @@ func typeFuncColumns(items []vsql.SelectItem, inWidth int, schema types.Schema, 
 			continue
 		}
 		if _, ok := it.Expr.(*expr.FuncCall); ok {
-			for _, r := range rows {
-				if !r[j].Null {
-					schema.Cols[j].T = r[j].T
-					break
-				}
-			}
+			schema.Cols[j].T = valuesType(rows, j, schema.Cols[j].T)
 		}
 		j++
 	}
+}
+
+// valuesType returns the one type every non-NULL value in column j has, or
+// def when there is none or they differ.
+func valuesType(rows []types.Row, j int, def types.Type) types.Type {
+	t, seen := def, false
+	for _, r := range rows {
+		if r[j].Null {
+			continue
+		}
+		if !seen {
+			t, seen = r[j].T, true
+		} else if r[j].T != t {
+			return def
+		}
+	}
+	return t
 }
 
 // selectShape resolves non-aggregate select items to output columns and

@@ -240,7 +240,12 @@ func hashMatchesSeg(h *expr.HashFn, schema types.Schema, segIdx []int) bool {
 	}
 	for i, a := range h.Args {
 		col, ok := a.(*expr.Col)
-		if !ok || schema.ColIndex(col.Name) != segIdx[i] {
+		if !ok {
+			return false
+		}
+		// An unresolved column (-1) never matches, not even NoHashes: it
+		// stays interpreted so evaluation reports the unknown column.
+		if idx := schema.ColIndex(col.Name); idx < 0 || idx != segIdx[i] {
 			return false
 		}
 	}

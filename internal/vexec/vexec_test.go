@@ -283,6 +283,27 @@ func TestKernelHashRange(t *testing.T) {
 	}
 }
 
+// TestHashUnknownColumnStaysInterpreted: HASH over a column the schema
+// lacks must not lower to the hash-vector kernel — not even against
+// NoHashes, whose -1 sentinel equals ColIndex's not-found result — so a
+// batch without hashes reports the unknown column instead of indexing a
+// nil hash vector.
+func TestHashUnknownColumnStaysInterpreted(t *testing.T) {
+	schema := types.Schema{Cols: []types.Column{{Name: "x", T: types.Int64}}}
+	b := mkBatch(t, schema, []types.Row{{types.IntValue(1)}, {types.IntValue(2)}})
+	b.Hashes = nil
+	where := cmp(expr.LT, &expr.HashFn{Args: []expr.Expr{col("nosuch")}}, lit(types.IntValue(100)))
+	for _, segIdx := range [][]int{NoHashes, nil, {0}} {
+		p := Compile(where, schema, segIdx)
+		if p.NumKernels() != 0 || p.Residual() == nil {
+			t.Fatalf("segIdx %v: HASH(nosuch) compiled to %d kernels, want interpreted", segIdx, p.NumKernels())
+		}
+		if err := p.FilterBatch(b); err == nil {
+			t.Fatalf("segIdx %v: HASH(nosuch) filtered without error", segIdx)
+		}
+	}
+}
+
 func TestKernelBareBoolColumn(t *testing.T) {
 	schema := intSchema()
 	rows := []types.Row{
